@@ -91,10 +91,13 @@ class SubobjectCategory:
     object_ideal: Optional[tuple] = None  # the set S^1 e per object
     triples: Optional[tuple] = None  # per morphism id: (e, u, f) over the base
     triple_index: Optional[dict] = None  # (a, b, u) -> morphism id
-    _flags: dict = field(default_factory=dict, repr=False)
-    _epi: dict = field(default_factory=dict, repr=False)
-    _nf: dict = field(default_factory=dict, repr=False)
-    _cones: dict = field(default_factory=dict, repr=False)
+    # memos, derived from the fields above; init=False keeps
+    # dataclasses.replace from carrying them into a changed category
+    _flags: dict = field(default_factory=dict, init=False, repr=False)
+    _epi: dict = field(default_factory=dict, init=False, repr=False)
+    _nf: dict = field(default_factory=dict, init=False, repr=False)
+    _outgoing: Optional[dict] = field(default=None, init=False, repr=False)
+    _cor: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_morphisms(self) -> int:
@@ -110,6 +113,15 @@ class SubobjectCategory:
 
     def hom(self, a: int, b: int) -> tuple:
         return self.homs.get((a, b), ())
+
+    def outgoing(self, a: int) -> tuple:
+        """The morphism ids with domain a, in increasing order."""
+        if self._outgoing is None:
+            out: dict = {}
+            for m, d in enumerate(self.dom):
+                out.setdefault(d, []).append(m)
+            self._outgoing = {d: tuple(ms) for d, ms in out.items()}
+        return self._outgoing.get(a, ())
 
     def compose(self, m1: int, m2: int) -> int:
         try:
@@ -291,21 +303,37 @@ def from_parts(n_objects, leq_pairs, morphisms, compose_triples) -> SubobjectCat
 
 
 def validate_category(c: SubobjectCategory) -> None:
-    """Category + subobject axioms; raises CategoryError on the first failure."""
-    n = c.n_morphisms
+    """Category + subobject axioms; raises CategoryError on the first failure.
+
+    Associativity walks only the composable triples m1 -> m2 -> m3, through
+    `outgoing`, in the lexicographic order of an all-triples scan, so the
+    first witness is the one that scan would report.  That is
+    sum |hom(a,b)| |hom(b,c)| |hom(c,d)| over objects a, b, c, d: 5.48M
+    triples on L(T3 x C2), against M^3 = 2.6e8 for its M = 640 morphisms.
+    """
+    dom, cod = c.dom, c.cod
+    rows: dict = {}  # m1 -> {m2: m1 . m2}, the compose table by rows
     for (m1, m2), m3 in c.compose_table.items():
-        if c.cod[m1] != c.dom[m2]:
+        if cod[m1] != dom[m2]:
             raise CategoryError(f"composite of non-composable pair ({m1},{m2})")
-        if c.dom[m3] != c.dom[m1] or c.cod[m3] != c.cod[m2]:
+        if dom[m3] != dom[m1] or cod[m3] != cod[m2]:
             raise CategoryError(f"compose({m1},{m2}) has wrong endpoints")
-    for m1 in range(n):
-        for m2 in range(n):
-            if c.cod[m1] == c.dom[m2] and (m1, m2) not in c.compose_table:
+        rows.setdefault(m1, {})[m2] = m3
+    for m1 in c.morphisms:
+        row1 = rows.get(m1, {})
+        for m2 in c.outgoing(cod[m1]):
+            if m2 not in row1:
                 raise CategoryError(f"missing composite ({m1},{m2})")
-            for m3 in range(n):
-                if c.cod[m1] == c.dom[m2] and c.cod[m2] == c.dom[m3]:
-                    if c.compose(c.compose(m1, m2), m3) != c.compose(m1, c.compose(m2, m3)):
-                        raise CategoryError(f"associativity fails at ({m1},{m2},{m3})")
+            # (m1 m2) m3 against m1 (m2 m3) for every m3 at once
+            out3 = c.outgoing(cod[m2])
+            row12, row2 = rows.get(row1[m2], {}), rows.get(m2, {})
+            try:
+                if (list(map(row12.__getitem__, out3))
+                        == list(map(row1.__getitem__, map(row2.__getitem__, out3)))):
+                    continue
+            except KeyError:
+                pass
+            raise _associativity_witness(c, m1, m2, out3)
     for a in c.objects:
         i = c.identities[a]
         if c.dom[i] != a or c.cod[i] != a:
@@ -338,6 +366,19 @@ def validate_category(c: SubobjectCategory) -> None:
                 if c.compose(h, j2) == j and not c.is_inclusion(h):
                     raise CategoryError(
                         f"left division fails: {c.label(h)} divides inclusions but is not one")
+
+
+def _associativity_witness(c: SubobjectCategory, m1: int, m2: int,
+                           out3: tuple) -> CategoryError:
+    """The first failure among the triples (m1, m2, m3), m3 in out3: a
+    missing composite or the first m3 where associativity fails."""
+    try:
+        for m3 in out3:
+            if c.compose(c.compose(m1, m2), m3) != c.compose(m1, c.compose(m2, m3)):
+                return CategoryError(f"associativity fails at ({m1},{m2},{m3})")
+    except MorphismNotInCategory as exc:
+        return exc
+    raise AssertionError(f"no associativity failure at ({m1},{m2})")
 
 
 def _literal_mono(c: SubobjectCategory, m: int) -> bool:
@@ -402,14 +443,10 @@ def morphism_flags(c: SubobjectCategory, m: int) -> MorphismFlags:
     return flags
 
 
-def classify_morphism(c: SubobjectCategory, m: int) -> MorphismFlags:
-    return morphism_flags(c, m)
-
-
 def _search_factorisation(c, m, middle_ok: Callable[[int], bool]) -> Optional[tuple]:
     a, b = c.dom[m], c.cod[m]
-    for q in range(c.n_morphisms):
-        if c.dom[q] != a or not morphism_flags(c, q).retraction:
+    for q in c.outgoing(a):
+        if not morphism_flags(c, q).retraction:
             continue
         mid_dom = c.cod[q]
         for (b2, cc), j in sorted(c.inclusions.items()):
@@ -556,7 +593,13 @@ def _sandwich_parts(c: SubobjectCategory, m: int) -> Optional[tuple]:
 
 def _cor_ideal_morphisms(c: SubobjectCategory, top: int) -> tuple:
     """Morphisms of <top>: composites of inclusions and retractions among the
-    subobjects of top."""
+    subobjects of top.  Memoised on the category."""
+    if top not in c._cor:
+        c._cor[top] = _cor_ideal_closure(c, top)
+    return c._cor[top]
+
+
+def _cor_ideal_closure(c: SubobjectCategory, top: int) -> tuple:
     subs = set(c.subobjects_of(top))
     gens = set()
     for (a, b), j in c.inclusions.items():
@@ -565,19 +608,26 @@ def _cor_ideal_morphisms(c: SubobjectCategory, top: int) -> tuple:
     for m in c.morphisms:
         if c.dom[m] in subs and c.cod[m] in subs and morphism_flags(c, m).retraction:
             gens.add(m)
-    closed = set(gens)
-    frontier = list(gens)
+    # each morphism, once popped, is composed on both sides with every
+    # composable morphism closed so far
+    closed, out_of, into = set(), {}, {}
+    frontier = []
+
+    def add(m):
+        if m not in closed:
+            closed.add(m)
+            out_of.setdefault(c.dom[m], []).append(m)
+            into.setdefault(c.cod[m], []).append(m)
+            frontier.append(m)
+
+    for m in sorted(gens):
+        add(m)
     while frontier:
-        nxt = []
-        for m1 in frontier:
-            for m2 in list(closed):
-                for pair in ((m1, m2), (m2, m1)):
-                    if c.cod[pair[0]] == c.dom[pair[1]]:
-                        m3 = c.compose(*pair)
-                        if m3 not in closed:
-                            closed.add(m3)
-                            nxt.append(m3)
-        frontier = nxt
+        m1 = frontier.pop()
+        after = [c.compose(m1, m2) for m2 in out_of.get(c.cod[m1], ())]
+        before = [c.compose(m2, m1) for m2 in into.get(c.dom[m1], ())]
+        for m3 in after + before:
+            add(m3)
     return tuple(sorted(closed))
 
 
@@ -628,10 +678,9 @@ def is_consistent_bimorphism(c: SubobjectCategory, m: int):
         return False, None
     # functoriality and agreement with T^u on inclusions
     for g1 in mor_c:
-        for g2 in mor_c:
-            if c.cod[g1] == c.dom[g2]:
-                if t_mor[c.compose(g1, g2)] != c.compose(t_mor[g1], t_mor[g2]):
-                    return False, None
+        for g2 in c.outgoing(c.cod[g1]):
+            if g2 in t_mor and t_mor[c.compose(g1, g2)] != c.compose(t_mor[g1], t_mor[g2]):
+                return False, None
     for (a, b), j in c.inclusions.items():
         if a in t_obj and b in t_obj and j in t_mor:
             if t_mor[j] != c.inclusions[(t_obj[a], t_obj[b])]:
@@ -710,8 +759,8 @@ def check_consistent_axioms(c: SubobjectCategory, cones=None,
 
     cc5 = True
     for (a, b), j in sorted(c.inclusions.items()):
-        for q in c.morphisms:
-            if c.dom[q] != b or not morphism_flags(c, q).retraction:
+        for q in c.outgoing(b):
+            if not morphism_flags(c, q).retraction:
                 continue
             if normal_factorisation(c, c.compose(j, q)) is None:
                 cc5 = False
@@ -754,13 +803,14 @@ def restrict_morphisms(c: SubobjectCategory, keep) -> SubobjectCategory:
         homs.setdefault((c.dom[m], c.cod[m]), []).append(i)
     compose_table = {}
     for m1 in keep:
-        for m2 in keep:
-            if c.cod[m1] == c.dom[m2]:
-                m3 = c.compose(m1, m2)
-                if m3 not in old_to_new:
-                    raise AxiomFailure(
-                        f"morphism set not closed: {c.label(m1)} . {c.label(m2)}")
-                compose_table[(old_to_new[m1], old_to_new[m2])] = old_to_new[m3]
+        for m2 in c.outgoing(c.cod[m1]):
+            if m2 not in old_to_new:
+                continue
+            m3 = c.compose(m1, m2)
+            if m3 not in old_to_new:
+                raise AxiomFailure(
+                    f"morphism set not closed: {c.label(m1)} . {c.label(m2)}")
+            compose_table[(old_to_new[m1], old_to_new[m2])] = old_to_new[m3]
     triples = tuple(c.triples[m] for m in keep) if c.triples is not None else None
     triple_index = None
     if triples is not None:

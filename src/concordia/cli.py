@@ -1,7 +1,8 @@
 """The concordia command line: analyze | roundtrip | search | export | gen.
 
-Exit codes: 0 success, 2 input not concordant, 3 certificate failure
-(artifacts retained), 4 search budget exceeded (partial census printed).
+Exit codes: 0 success, 1 parse/validation error, 2 input not concordant,
+3 certificate failure (artifacts retained), 4 search budget exceeded
+(partial census printed).
 
 Products compose left to right throughout: table[i][j] is "i then j", and
 morphisms are written in the order of their composition.
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import presets, search, serialization as ser
-from .categories import build_ideal_category, check_consistent_axioms
+from .categories import CategoryError, build_ideal_category, check_consistent_axioms
 from .cones import EPSILON_STAR_U, PRINCIPAL_ONLY
 from .crossconn import (
     CertificateFailure,
@@ -121,7 +122,7 @@ def cmd_roundtrip(args) -> int:
         emit("report.txt", "\n".join(report) + "\n")
         sys.stdout.write("\n".join(report) + "\n")
         return EXIT_NOT_CONCORDANT
-    except (CertificateFailure, CrossConnectionError) as exc:
+    except (CertificateFailure, CrossConnectionError, CategoryError) as exc:
         report.append(f"CERTIFICATE FAILURE: {exc}")
         emit("report.txt", "\n".join(report) + "\n")
         sys.stdout.write("\n".join(report) + "\n")
@@ -160,11 +161,13 @@ def cmd_export(args) -> int:
                 else ser.dumps(ser.category_to_json(c)))
     elif args.what == "icc":
         try:
-            omega = build_omega_s(s)
+            icc = build_icc(build_omega_s(s))
         except NotConcordant as exc:
             sys.stderr.write(str(exc) + "\n")
             return EXIT_NOT_CONCORDANT
-        icc = build_icc(omega)
+        except (CrossConnectionError, CategoryError) as exc:
+            sys.stderr.write(f"certificate failure: {exc}\n")
+            return EXIT_CERTIFICATE
         text = (ser.icc_to_dot(icc) if args.format == "dot"
                 else ser.dumps(ser.icc_to_json(icc)))
     else:

@@ -114,11 +114,10 @@ def check_functor(f: FunctorData) -> None:
         if dst.dom[fm] != f.objects[src.dom[m]] or dst.cod[fm] != f.objects[src.cod[m]]:
             raise NotAFunctor(f"morphism {m} endpoints not preserved")
     for m1 in src.morphisms:
-        for m2 in src.morphisms:
-            if src.cod[m1] == src.dom[m2]:
-                if f.morphisms[src.compose(m1, m2)] != dst.compose(
-                        f.morphisms[m1], f.morphisms[m2]):
-                    raise NotAFunctor(f"composition not preserved at ({m1},{m2})")
+        for m2 in src.outgoing(src.cod[m1]):
+            if f.morphisms[src.compose(m1, m2)] != dst.compose(
+                    f.morphisms[m1], f.morphisms[m2]):
+                raise NotAFunctor(f"composition not preserved at ({m1},{m2})")
 
 
 def is_local_isomorphism(f: FunctorData) -> tuple:
@@ -224,22 +223,20 @@ def build_dual(cs: ConeSemigroup) -> DualCategory:
                 raise AxiomFailure("gamma~ is not onto the underlying hom-set")
     # each nat is a natural transformation; the assignment is functorial
     for m in base.morphisms:
-        o1, o2 = base.dom[m], base.cod[m]
-        h1 = hs[o1]
-        h2 = hs[o2]
+        maps1, maps2, nat_m = hs[base.dom[m]].maps, hs[base.cod[m]].maps, nat[m]
         for g in c.morphisms:
-            a, b = c.dom[g], c.cod[g]
-            for gid in h1.values[a]:
-                if h2.maps[g][nat[m][a][gid]] != nat[m][b][h1.maps[g][gid]]:
+            map1, map2, after = maps1[g], maps2[g], nat_m[c.cod[g]]
+            for gid, x in nat_m[c.dom[g]].items():
+                if map2[x] != after[map1[gid]]:
                     raise NaturalityFailure(f"square fails for dual morphism {m} at {g}")
+    # nat[m][obj] is keyed by the values of hs[dom m], so nat[m1] and
+    # nat[m1 m2] share keys
     for m1 in base.morphisms:
-        for m2 in base.morphisms:
-            if base.cod[m1] == base.dom[m2]:
-                m3 = base.compose(m1, m2)
-                for obj in c.objects:
-                    for gid in hs[base.dom[m1]].values[obj]:
-                        if nat[m2][obj][nat[m1][obj][gid]] != nat[m3][obj][gid]:
-                            raise AxiomFailure("dual realisation is not functorial")
+        for m2 in base.outgoing(base.cod[m1]):
+            composite = tuple({gid: step2[x] for gid, x in step1.items()}
+                              for step1, step2 in zip(nat[m1], nat[m2]))
+            if composite != nat[base.compose(m1, m2)]:
+                raise AxiomFailure("dual realisation is not functorial")
     # subfunctor order matches the right-ideal order
     for o1 in base.objects:
         for o2 in base.objects:

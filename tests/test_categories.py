@@ -1,13 +1,15 @@
+import dataclasses
+
 import pytest
 
 from concordia import presets
 from concordia.categories import (
     AxiomFailure,
     CategoryError,
+    MorphismNotInCategory,
     build_ideal_category,
     check_consistent_axioms,
     check_normal_axioms,
-    classify_morphism,
     consistent_factorisation,
     epi_component,
     from_parts,
@@ -19,6 +21,7 @@ from concordia.categories import (
     object_of_idempotent,
     restrict_morphisms,
     validate_category,
+    _cor_ideal_closure,
     _cor_ideal_morphisms,
 )
 from concordia.semigroups import (
@@ -29,7 +32,13 @@ from concordia.semigroups import (
     idempotents,
     validate_table,
 )
-from conftest import SMALL_PRESETS, NONREGULAR_CONCORDANT, semigroup
+from conftest import (
+    NONREGULAR_CONCORDANT,
+    SMALL_PRESETS,
+    concordant_classes,
+    omega_bundle,
+    semigroup,
+)
 
 
 def lcat(name):
@@ -91,17 +100,17 @@ def test_hom_sizes_count_eSf(name):
 
 def test_classify_sl2():
     c = lcat("semilattice-chain:2")
-    incl = classify_morphism(c, c.triple_index[(0, 1, 0)])
+    incl = morphism_flags(c, c.triple_index[(0, 1, 0)])
     assert incl.mono and incl.inclusion and not incl.epi
-    retr = classify_morphism(c, c.triple_index[(1, 0, 0)])
+    retr = morphism_flags(c, c.triple_index[(1, 0, 0)])
     assert retr.epi and retr.retraction and not retr.mono
-    mid = classify_morphism(c, c.triple_index[(1, 1, 0)])
+    mid = morphism_flags(c, c.triple_index[(1, 1, 0)])
     assert not mid.mono and not mid.epi and not mid.isomorphism
 
 
 def test_classify_z3_all_isos():
     c = lcat("cyclic:3")
-    assert all(classify_morphism(c, m).isomorphism for m in c.morphisms)
+    assert all(morphism_flags(c, m).isomorphism for m in c.morphisms)
 
 
 @pytest.mark.parametrize("name", SMALL_PRESETS)
@@ -339,3 +348,180 @@ def test_cone_budget_fallbacks():
     abstract = from_parts(1, [], [(0, 0, True)], [(0, 0, 0)])
     with pytest.raises(CategoryError):
         idempotent_cones_by_vertex(abstract, budget=(0, 0))
+
+
+# --- the composable-triple walk against the all-triples scan --------------
+
+def validate_category_scan(c):
+    """Reference: category and subobject axioms by the M^3 scan over every
+    ordered triple of morphisms."""
+    n = c.n_morphisms
+    for (m1, m2), m3 in c.compose_table.items():
+        if c.cod[m1] != c.dom[m2]:
+            raise CategoryError(f"composite of non-composable pair ({m1},{m2})")
+        if c.dom[m3] != c.dom[m1] or c.cod[m3] != c.cod[m2]:
+            raise CategoryError(f"compose({m1},{m2}) has wrong endpoints")
+    for m1 in range(n):
+        for m2 in range(n):
+            if c.cod[m1] == c.dom[m2] and (m1, m2) not in c.compose_table:
+                raise CategoryError(f"missing composite ({m1},{m2})")
+            for m3 in range(n):
+                if c.cod[m1] == c.dom[m2] and c.cod[m2] == c.dom[m3]:
+                    if c.compose(c.compose(m1, m2), m3) != c.compose(m1, c.compose(m2, m3)):
+                        raise CategoryError(f"associativity fails at ({m1},{m2},{m3})")
+    validate_category(c)  # the subobject checks that follow are shared code
+
+
+def outcome(check, *args):
+    """None when check passes, else the exception's type and message."""
+    try:
+        check(*args)
+    except Exception as exc:  # any escape, a KeyError say, must match too
+        return type(exc), str(exc)
+    return None
+
+
+def assert_same_verdict(c):
+    want = outcome(validate_category_scan, c)
+    assert outcome(validate_category, dataclasses.replace(c)) == want
+    return want
+
+
+def both_sides(table):
+    s = validate_table([list(r) for r in table])
+    return [build_ideal_category(s, side) for side in (LEFT, RIGHT)]
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS)
+def test_validate_category_matches_scan_on_presets(name):
+    for side in (LEFT, RIGHT):
+        assert assert_same_verdict(build_ideal_category(semigroup(name), side)) is None
+
+
+def test_validate_category_matches_scan_up_to_order_4():
+    classes = concordant_classes(4)
+    assert len(classes) == 1 + 4 + 13 + 68
+    for table in classes:
+        for c in both_sides(table):
+            assert assert_same_verdict(c) is None, table
+
+
+@pytest.mark.slow
+def test_validate_category_matches_scan_order_5():
+    classes = [t for t in concordant_classes(5) if len(t) == 5]
+    assert len(classes) == 369
+    for table in classes:
+        for c in both_sides(table):
+            assert assert_same_verdict(c) is None, table
+
+
+def with_entry(c, key, m):
+    """c with compose_table[key] set to m, or dropped when m is None."""
+    table = dict(c.compose_table)
+    if m is None:
+        del table[key]
+    else:
+        table[key] = m
+    return dataclasses.replace(c, compose_table=table)
+
+
+def mutations(c):
+    """(kind, category) for every compose entry of c: another morphism of the
+    same hom-set, the entry dropped, and a morphism with wrong endpoints."""
+    for key, m in c.compose_table.items():
+        ends = (c.dom[m], c.cod[m])
+        same = [x for x in c.hom(*ends) if x != m]
+        if same:
+            yield "flip", with_entry(c, key, same[0])
+        yield "drop", with_entry(c, key, None)
+        other = [x for x in c.morphisms if (c.dom[x], c.cod[x]) != ends]
+        if other:
+            yield "endpoints", with_entry(c, key, other[0])
+
+
+@pytest.mark.parametrize("name", ["full-transformation:2", "brandt-b2",
+                                  "semilattice-chain:3"])
+def test_validate_category_matches_scan_on_mutations(name):
+    seen = set()
+    for side in (LEFT, RIGHT):
+        for kind, c in mutations(build_ideal_category(semigroup(name), side)):
+            verdict = assert_same_verdict(c)
+            assert verdict is not None or kind == "flip"
+            if verdict is not None:
+                seen.add((kind, verdict[0], verdict[1].split("(")[0].split()[0]))
+    # every failure the walk can report is reached
+    assert {("flip", CategoryError, "associativity"),
+            ("drop", CategoryError, "missing"),
+            ("drop", MorphismNotInCategory, "morphisms"),
+            ("endpoints", CategoryError, "compose")} <= seen
+
+
+def check_functor_scan(f):
+    """Reference: functor checks over every ordered pair of morphisms."""
+    from concordia.crossconn import NotAFunctor
+    src, dst = f.source, f.target
+    for a in src.objects:
+        if f.objects[a] not in dst.objects:
+            raise NotAFunctor(f"object {a} has no image")
+        if f.morphisms[src.identities[a]] != dst.identities[f.objects[a]]:
+            raise NotAFunctor(f"identity of {a} not preserved")
+    for m in src.morphisms:
+        fm = f.morphisms[m]
+        if dst.dom[fm] != f.objects[src.dom[m]] or dst.cod[fm] != f.objects[src.cod[m]]:
+            raise NotAFunctor(f"morphism {m} endpoints not preserved")
+    for m1 in src.morphisms:
+        for m2 in src.morphisms:
+            if src.cod[m1] == src.dom[m2]:
+                if f.morphisms[src.compose(m1, m2)] != dst.compose(
+                        f.morphisms[m1], f.morphisms[m2]):
+                    raise NotAFunctor(f"composition not preserved at ({m1},{m2})")
+
+
+@pytest.mark.parametrize("name", ["full-transformation:2", "brandt-b2",
+                                  "semilattice-chain:3"])
+def test_check_functor_matches_scan_on_corrupted_images(name):
+    from concordia.crossconn import check_functor
+    _, omega, _ = omega_bundle(name)
+    failures = 0
+    for functor in (omega.gamma, omega.delta):
+        assert outcome(check_functor, functor) is None
+        dst = functor.target
+        for m, fm in functor.morphisms.items():
+            for other in dst.hom(dst.dom[fm], dst.cod[fm]):
+                if other == fm:
+                    continue
+                bad = dataclasses.replace(
+                    functor, morphisms={**functor.morphisms, m: other})
+                want = outcome(check_functor_scan, bad)
+                assert outcome(check_functor, bad) == want
+                failures += want is not None
+                break
+    assert failures > 0
+
+
+def cor_ideal_scan(c, top):
+    """Reference: the morphisms of <top> by closing the inclusions and
+    retractions among the subobjects of top under every composable pair."""
+    subs = set(c.subobjects_of(top))
+    closed = {m for m in c.morphisms if c.dom[m] in subs and c.cod[m] in subs
+              and (c.is_inclusion(m) or morphism_flags(c, m).retraction)}
+    while True:
+        more = {c.compose(x, y) for x in closed for y in closed
+                if c.cod[x] == c.dom[y]} - closed
+        if not more:
+            return tuple(sorted(closed))
+        closed |= more
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS + ("direct-product:brandt-b2*cyclic:2",))
+def test_outgoing_and_cor_ideal_memo(name):
+    for side in (LEFT, RIGHT):
+        c = build_ideal_category(presets.preset(name), side)
+        for a in c.objects:
+            assert c.outgoing(a) == tuple(m for m in c.morphisms if c.dom[m] == a)
+            memo = _cor_ideal_morphisms(c, a)
+            assert memo == _cor_ideal_closure(c, a) == cor_ideal_scan(c, a)
+            assert _cor_ideal_morphisms(c, a) is memo
+        # memos are not fields of a copy
+        copy = dataclasses.replace(c)
+        assert copy._outgoing is None and copy._cor == {} and copy._flags == {}

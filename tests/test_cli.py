@@ -159,3 +159,46 @@ def test_export_icc_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["objects"]) == 1 and len(data["morphisms"]) == 3
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_roundtrip_category_error_is_certificate_failure(tmp_path, capsys, monkeypatch):
+    from concordia.categories import AxiomFailure
+    monkeypatch.setattr("concordia.cli.check_consistent_axioms",
+                        _raise(AxiomFailure("injected closure failure")))
+    code, stdout, _ = run(["roundtrip", "--preset", "cyclic:2",
+                           "--out", str(tmp_path)], capsys)
+    assert code == 3
+    report = (tmp_path / "report.txt").read_text()
+    assert "CERTIFICATE FAILURE: injected closure failure" in report
+    assert report == stdout
+    assert (tmp_path / "omega.json").exists()  # artifacts retained
+
+
+@pytest.mark.parametrize("exc", ["MorphismNotInCategory", "NotBimorphism"])
+def test_roundtrip_other_category_errors_exit_3(exc, tmp_path, capsys, monkeypatch):
+    from concordia import categories
+    monkeypatch.setattr("concordia.cli.check_consistent_axioms",
+                        _raise(getattr(categories, exc)("injected")))
+    code, _, _ = run(["roundtrip", "--preset", "cyclic:2",
+                      "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert "CERTIFICATE FAILURE: injected" in (tmp_path / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("exc", ["categories.AxiomFailure",
+                                 "crossconn.NaturalityFailure"])
+def test_export_icc_certificate_failure_exit_3(exc, capsys, monkeypatch):
+    import importlib
+    module, name = exc.split(".")
+    cls = getattr(importlib.import_module(f"concordia.{module}"), name)
+    monkeypatch.setattr("concordia.cli.build_icc", _raise(cls("injected")))
+    code, out, err = run(["export", "--preset", "cyclic:3", "--what", "icc"],
+                         capsys)
+    assert code == 3 and out == ""
+    assert err == "certificate failure: injected\n"
