@@ -703,14 +703,13 @@ class AxiomReport:
                 for name, v in self.axioms.items()]
 
 
-def check_consistent_axioms(c: SubobjectCategory, cones=None,
-                            cone_budget=(10, 200)) -> AxiomReport:
+def check_consistent_axioms(c: SubobjectCategory, cones=None) -> AxiomReport:
     """CC1..CC6 with witnesses.
 
     CC6 needs idempotent cones: they are enumerated (via the cone module) when
-    the category is within `cone_budget` (objects, morphisms), taken from the
-    principal cones when the category comes from a semigroup, or supplied by
-    the caller.
+    the category is within the budget of `idempotent_cones_by_vertex`, taken
+    from the principal cones when the category comes from a semigroup, or
+    supplied by the caller.
     """
     axioms: dict = {}
     witnesses: dict = {}
@@ -775,7 +774,7 @@ def check_consistent_axioms(c: SubobjectCategory, cones=None,
     cone_sets = cones
     if cone_sets is None:
         from .cones import idempotent_cones_by_vertex
-        cone_sets = idempotent_cones_by_vertex(c, cone_budget)
+        cone_sets = idempotent_cones_by_vertex(c)
     for v in c.objects:
         if not cone_sets.get(v):
             cc6 = False
@@ -841,8 +840,7 @@ def normal_subcategory(c: SubobjectCategory) -> SubobjectCategory:
     return sub
 
 
-def check_normal_axioms(c: SubobjectCategory, cones=None,
-                        cone_budget=(10, 200)) -> AxiomReport:
+def check_normal_axioms(c: SubobjectCategory, cones=None) -> AxiomReport:
     """NC1..NC4 for a (candidate) normal category."""
     axioms: dict = {}
     witnesses: dict = {}
@@ -873,7 +871,7 @@ def check_normal_axioms(c: SubobjectCategory, cones=None,
     cone_sets = cones
     if cone_sets is None:
         from .cones import idempotent_cones_by_vertex
-        cone_sets = idempotent_cones_by_vertex(c, cone_budget)
+        cone_sets = idempotent_cones_by_vertex(c)
     for v in c.objects:
         if not cone_sets.get(v):
             nc4 = False

@@ -141,7 +141,7 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         raise ser.ParseError(str(exc)) from exc
     try:
-        census = search.run_search(spec, budget_seconds=args.budget, jobs=args.jobs)
+        census = search.run_search(spec, budget_seconds=args.budget)
     except search.BudgetExceeded as exc:
         _write(args.out, ser.dumps(exc.partial))
         return EXIT_BUDGET
@@ -176,8 +176,16 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are parse errors (exit 1); argparse's own exit 2 would
+    read as EXIT_NOT_CONCORDANT."""
+
+    def error(self, message):
+        raise ser.ParseError(f"{self.prog}: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="concordia",
         description="Concordance checker and cross-connection workbench for "
                     "finite semigroups (products read left to right).")
@@ -213,7 +221,6 @@ def make_parser() -> argparse.ArgumentParser:
                     "concordant,!regular")
     sp.add_argument("--no-symmetry-reduction", action="store_true")
     sp.add_argument("--budget", type=float, default=None, help="seconds")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_search)
 
@@ -227,8 +234,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.fn(args)
     except ser.ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

@@ -33,7 +33,10 @@ from .semigroups import (
 )
 
 
-class SearchBudgetExceeded(Exception):
+class BudgetExceeded(Exception):
+    """A cone search or a census ran past its budget; `partial` holds what
+    was found so far."""
+
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
@@ -141,7 +144,7 @@ def _cones_with_vertex(c: SubobjectCategory, v: int, idempotent_only: bool,
         choices.append(opts)
     total = prod(len(o) for o in choices)
     if budget is not None and total > budget:
-        raise SearchBudgetExceeded(
+        raise BudgetExceeded(
             f"cone search at vertex {v} needs {total} candidates (budget {budget})")
     above = {a: next(mx for mx in maxima if (a, mx) in c.leq) for a in c.objects}
     out = []
@@ -297,7 +300,7 @@ def build_cone_semigroup(c: SubobjectCategory, mode: str = EPSILON_STAR_U,
         if not new:
             break
         if budget is not None and len(cone_set) > budget:
-            raise SearchBudgetExceeded("cone closure exceeded budget", partial=cone_set)
+            raise BudgetExceeded("cone closure exceeded budget", partial=cone_set)
         cones = sorted(cone_set, key=lambda k: (k.vertex, k.components))
 
     cones = tuple(sorted(cone_set, key=lambda k: (k.vertex, k.components)))

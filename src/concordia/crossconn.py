@@ -4,6 +4,14 @@ The consistent dual C*, the functors Gamma/Delta of a concordant semigroup,
 local-isomorphism validation, the idempotent cones gamma(c,d)/delta(c,d),
 transposes and the chi linkage, the cross-connection semigroup S-Omega, and
 the round-trip certificates phi and psi.
+
+Every construction is written once, for the left side.  A cross-connection
+(C, D; Gamma, Delta) is symmetric: swapping the categories gives the
+cross-connection (D, C; Delta, Gamma), `CrossConnection.transposed()`.  For a
+semigroup, R(S) is L(S^op) and so Omega(S^op) = Omega(S) transposed, id for
+id; the right-side routines (Delta_S, delta(c,d), G_Omega, the transpose of a
+D-morphism) are the left-side ones applied to the other side's data or to
+`omega.transposed()`.
 """
 from __future__ import annotations
 
@@ -173,6 +181,15 @@ def _freeze_action(action) -> tuple:
     return tuple(tuple(sorted(step.items())) for step in action)
 
 
+def _conjugated_action(cs: ConeSemigroup, h_src, dst_cone, gt: int) -> list:
+    """The natural transformation eta_src . Hom(gt, -) . eta_dst^{-1} as
+    per-object maps on cone ids: eps_src * f° goes to dst * (gt f)°."""
+    c, index = cs.category, cs.index
+    return [{gid: index[cone_star(c, dst_cone, epi_component(c, c.compose(gt, fx)))]
+             for gid, fx in eta.items()}
+            for eta in h_src.eta]
+
+
 def build_dual(cs: ConeSemigroup) -> DualCategory:
     """C* via the bijection lambda(eps, gamma, eps') -> gamma~ =
     gamma(c_eps') . j, with the eta-square realisation of every hom and the
@@ -198,17 +215,10 @@ def build_dual(cs: ConeSemigroup) -> DualCategory:
         if (o1, o2, gt) in tilde_index:
             raise AxiomFailure("gamma~ realisation is not injective")
         tilde_index[(o1, o2, gt)] = m
-        action = []
-        h1, h2 = hs[o1], hs[o2]
-        for obj in c.objects:
-            step = {}
-            for gid, fx in h1.eta[obj].items():
-                target = cone_star(c, cs.cones[reps[o2]],
-                                   epi_component(c, c.compose(gt, fx)))
-                step[gid] = cs.index[target]
-            if set(step.values()) - h2.values[obj]:
+        action = _conjugated_action(cs, hs[o1], cs.cones[reps[o2]], gt)
+        for step, values in zip(action, hs[o2].values):
+            if not values.issuperset(step.values()):
                 raise NaturalityFailure("nat component leaves the target H-functor")
-            action.append(step)
         nat[m] = tuple(action)
         akey = (o1, o2, _freeze_action(action))
         if akey in action_index:
@@ -273,9 +283,28 @@ class CrossConnection:
     gamma_of: dict  # (c, d) -> idempotent cone id in cs_c
     delta_of: dict  # (c, d) -> idempotent cone id in cs_d
     _chi: dict = field(default_factory=dict)
+    _transposed: Optional["CrossConnection"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def pair_label(self, cd) -> str:
         return f"({self.C.object_label(cd[0])},{self.D.object_label(cd[1])})"
+
+    def transposed(self) -> "CrossConnection":
+        """(D, C; Delta, Gamma): the same data with the two categories
+        swapped and every (c, d) key flipped; an involution."""
+        if self._transposed is None:
+            t = CrossConnection(
+                self.D, self.C, self.cs_d, self.cs_c, self.dual_d, self.dual_c,
+                self.delta, self.gamma, self.m_delta, self.m_gamma,
+                tuple(sorted((d, c) for c, d in self.e_omega)),
+                _flipped(self.delta_of), _flipped(self.gamma_of))
+            t._transposed = self
+            self._transposed = t
+        return self._transposed
+
+
+def _flipped(by_pair: dict) -> dict:
+    return {(y, x): v for (x, y), v in by_pair.items()}
 
 
 def _unique_idempotent_cone(dual: DualCategory, obj: int, vertex: int) -> int:
@@ -316,101 +345,8 @@ def build_omega_s(s: FiniteSemigroup, mode: str = EPSILON_STAR_U) -> CrossConnec
     cs_d = build_cone_semigroup(d, mode)
     dual_c = build_dual(cs_c)
     dual_d = build_dual(cs_d)
-
-    def eta_conjugated(dual, cs, src_eps, dst_eps, gt):
-        """The natural transformation eta_{src} . Hom(gt, -) . eta_{dst}^{-1}
-        as per-object maps on cone ids."""
-        target = dual.underlying
-        h_src = h_functor(cs, src_eps)
-        dst_cone = cs.cones[dst_eps]
-        action = []
-        for obj in target.objects:
-            step = {}
-            for gid, fx in h_src.eta[obj].items():
-                img = cone_star(target, dst_cone,
-                                epi_component(target, target.compose(gt, fx)))
-                step[gid] = cs.index[img]
-            action.append(step)
-        return _freeze_action(action)
-
-    gamma_obj, gamma_mor = {}, {}
-    for dobj in d.objects:
-        e = d.object_idem[dobj]
-        gamma_obj[dobj] = dual_c.object_of_cone(cs_c.principal_of[e])
-    for m in d.morphisms:
-        e, u, f = d.triples[m]  # lambda(e,u,f) with u in fSe
-        gt = locate_triple(c, f, u, e)
-        if gt is None:
-            raise AxiomFailure("rho(f,u,e) missing for a lambda(e,u,f)")
-        key = (gamma_obj[d.dom[m]], gamma_obj[d.cod[m]],
-               eta_conjugated(dual_c, cs_c, cs_c.principal_of[e],
-                              cs_c.principal_of[f], gt))
-        if key not in dual_c.action_index:
-            raise AxiomFailure("Gamma_S morphism image not found in the dual")
-        gamma_mor[m] = dual_c.action_index[key]
-    gamma = FunctorData(d, dual_c.base, gamma_obj, gamma_mor)
-
-    delta_obj, delta_mor = {}, {}
-    for cobj in c.objects:
-        e = c.object_idem[cobj]
-        delta_obj[cobj] = dual_d.object_of_cone(cs_d.principal_of[e])
-    for m in c.morphisms:
-        e, u, f = c.triples[m]  # rho(e,u,f) with u in eSf
-        gt = locate_triple(d, f, u, e)
-        if gt is None:
-            raise AxiomFailure("lambda(f,u,e) missing for a rho(e,u,f)")
-        key = (delta_obj[c.dom[m]], delta_obj[c.cod[m]],
-               eta_conjugated(dual_d, cs_d, cs_d.principal_of[e],
-                              cs_d.principal_of[f], gt))
-        if key not in dual_d.action_index:
-            raise AxiomFailure("Delta_S morphism image not found in the dual")
-        delta_mor[m] = dual_d.action_index[key]
-    delta = FunctorData(c, dual_d.base, delta_obj, delta_mor)
-
-    ok, why = is_local_isomorphism(gamma)
-    if not ok:
-        raise CertificateFailure(f"Gamma_S is not a local isomorphism: {why}")
-    ok, why = is_local_isomorphism(delta)
-    if not ok:
-        raise CertificateFailure(f"Delta_S is not a local isomorphism: {why}")
-
-    # FS_rho: R(S) -> R(L(S)-hat) and the factorisation Gamma_S = FS_rho . G->
-    fs_rho_obj, fs_rho_mor = {}, {}
-    for dobj in d.objects:
-        fs_rho_obj[dobj] = dual_c.object_of_cone(
-            cs_c.principal_of[d.object_idem[dobj]])
-    for m in d.morphisms:
-        e, u, f = d.triples[m]
-        t = locate_triple(dual_c.base, cs_c.principal_of[e], cs_c.principal_of[u],
-                          cs_c.principal_of[f])
-        if t is None:
-            raise AxiomFailure("FS_rho image missing")
-        fs_rho_mor[m] = t
-    fs_rho = FunctorData(d, dual_c.base, fs_rho_obj, fs_rho_mor)
-    ok, why = is_local_isomorphism(fs_rho)
-    if not ok:
-        raise CertificateFailure(f"FS_rho is not a local isomorphism: {why}")
-    if fs_rho.objects != gamma.objects or fs_rho.morphisms != gamma.morphisms:
-        raise CertificateFailure("Gamma_S does not factor as FS_rho . G->")
-
-    fs_lam_obj, fs_lam_mor = {}, {}
-    for cobj in c.objects:
-        fs_lam_obj[cobj] = dual_d.object_of_cone(
-            cs_d.principal_of[c.object_idem[cobj]])
-    for m in c.morphisms:
-        e, u, f = c.triples[m]
-        t = locate_triple(dual_d.base, cs_d.principal_of[e], cs_d.principal_of[u],
-                          cs_d.principal_of[f])
-        if t is None:
-            raise AxiomFailure("FS_lambda image missing")
-        fs_lam_mor[m] = t
-    fs_lam = FunctorData(c, dual_d.base, fs_lam_obj, fs_lam_mor)
-    ok, why = is_local_isomorphism(fs_lam)
-    if not ok:
-        raise CertificateFailure(f"FS_lambda is not a local isomorphism: {why}")
-    if fs_lam.objects != delta.objects or fs_lam.morphisms != delta.morphisms:
-        raise CertificateFailure("Delta_S does not factor as FS_lambda . G<-")
-
+    gamma = _gamma_functor(d, dual_c, "Gamma_S", "FS_rho . G->")
+    delta = _gamma_functor(c, dual_d, "Delta_S", "FS_lambda . G<-")
     omega = _assemble(c, d, cs_c, cs_d, dual_c, dual_d, gamma, delta)
 
     # the biordered set E_Omega is E(S) under e -> (Se, eS)
@@ -428,24 +364,68 @@ def build_omega_s(s: FiniteSemigroup, mode: str = EPSILON_STAR_U) -> CrossConnec
     return omega
 
 
+def _gamma_functor(d: SubobjectCategory, dual_c: DualCategory, name: str,
+                   factorisation: str) -> FunctorData:
+    """Gamma_S: D -> C*, certified a local isomorphism; called with the two
+    sides swapped it is Delta_S: C -> D*.
+
+    An object of D with idempotent e goes to the dual object of the principal
+    cone rho^e; a morphism (e, u, f) of D goes to the dual morphism acting as
+    eta_{rho^e} . Hom(gt, -) . eta_{rho^f}^{-1}, gt the morphism (f, u, e) of
+    C.  The same map is the factorisation FS . G, (e, u, f) -> the morphism
+    (rho^e, rho^u, rho^f) of the dual's base, and that is asserted too."""
+    c, cs_c = dual_c.underlying, dual_c.cone_semigroup
+    p = cs_c.principal_of
+    objects = {dobj: dual_c.object_of_cone(p[d.object_idem[dobj]]) for dobj in d.objects}
+    morphisms = {}
+    for m in d.morphisms:
+        e, u, f = d.triples[m]
+        gt = locate_triple(c, f, u, e)
+        if gt is None:
+            raise AxiomFailure(f"{name}: no morphism (f,u,e) of the other side "
+                               f"for {d.label(m)}")
+        action = _conjugated_action(cs_c, h_functor(cs_c, p[e]), cs_c.cones[p[f]], gt)
+        key = (objects[d.dom[m]], objects[d.cod[m]], _freeze_action(action))
+        if key not in dual_c.action_index:
+            raise AxiomFailure(f"{name} morphism image not found in the dual")
+        morphisms[m] = dual_c.action_index[key]
+    functor = FunctorData(d, dual_c.base, objects, morphisms)
+    ok, why = is_local_isomorphism(functor)
+    if not ok:
+        raise CertificateFailure(f"{name} is not a local isomorphism: {why}")
+    # FS maps objects by the expression above, so only morphisms can differ,
+    # and where they agree FS is the local isomorphism just certified
+    for m in d.morphisms:
+        e, u, f = d.triples[m]
+        if locate_triple(dual_c.base, p[e], p[u], p[f]) != morphisms[m]:
+            raise CertificateFailure(f"{name} does not factor as {factorisation}")
+    return functor
+
+
 def _assemble(c, d, cs_c, cs_d, dual_c, dual_d, gamma, delta) -> CrossConnection:
-    m_gamma = {dobj: dual_c.h[gamma.objects[dobj]].m_set for dobj in d.objects}
-    m_delta = {cobj: dual_d.h[delta.objects[cobj]].m_set for cobj in c.objects}
-    e_omega = tuple(sorted((cobj, dobj) for dobj in d.objects
-                           for cobj in m_gamma[dobj]))
+    m_gamma = _m_sets(dual_c, gamma)
+    m_delta = _m_sets(dual_d, delta)
     for cobj in c.objects:
         for dobj in d.objects:
             if (cobj in m_gamma[dobj]) != (dobj in m_delta[cobj]):
                 raise CertificateFailure(
                     f"M-set duality fails at ({cobj},{dobj})")
-    omega = CrossConnection(c, d, cs_c, cs_d, dual_c, dual_d, gamma, delta,
-                            m_gamma, m_delta, e_omega, {}, {})
-    for (cobj, dobj) in e_omega:
-        omega.gamma_of[(cobj, dobj)] = _unique_idempotent_cone(
-            dual_c, gamma.objects[dobj], cobj)
-        omega.delta_of[(cobj, dobj)] = _unique_idempotent_cone(
-            dual_d, delta.objects[cobj], dobj)
-    return omega
+    gamma_of = _cones_of(dual_c, gamma, m_gamma)
+    e_omega = tuple(sorted(gamma_of))
+    return CrossConnection(c, d, cs_c, cs_d, dual_c, dual_d, gamma, delta,
+                           m_gamma, m_delta, e_omega, gamma_of,
+                           _flipped(_cones_of(dual_d, delta, m_delta)))
+
+
+def _m_sets(dual: DualCategory, gamma: FunctorData) -> dict:
+    """M-Gamma(d) for each object d of D (M-Delta on the other side)."""
+    return {dobj: dual.h[gamma.objects[dobj]].m_set for dobj in gamma.source.objects}
+
+
+def _cones_of(dual: DualCategory, gamma: FunctorData, m_sets: dict) -> dict:
+    """gamma(c, d) for each c in M-Gamma(d), keyed (c, d)."""
+    return {(cobj, dobj): _unique_idempotent_cone(dual, gamma.objects[dobj], cobj)
+            for dobj, cobjs in m_sets.items() for cobj in cobjs}
 
 
 def gamma_cd(omega: CrossConnection, cd) -> int:
@@ -455,9 +435,7 @@ def gamma_cd(omega: CrossConnection, cd) -> int:
 
 
 def delta_cd(omega: CrossConnection, cd) -> int:
-    if cd not in omega.delta_of:
-        raise PairNotInEOmega(str(cd))
-    return omega.delta_of[cd]
+    return gamma_cd(omega.transposed(), cd[::-1])
 
 
 def gamma_values(omega: CrossConnection, cobj: int, dobj: int) -> frozenset:
@@ -466,13 +444,14 @@ def gamma_values(omega: CrossConnection, cobj: int, dobj: int) -> frozenset:
 
 
 def delta_values(omega: CrossConnection, cobj: int, dobj: int) -> frozenset:
-    return omega.dual_d.h[omega.delta.objects[cobj]].values[dobj]
+    return gamma_values(omega.transposed(), dobj, cobj)
 
 
 def transpose(omega: CrossConnection, f: int, d_prime: int, d: int) -> int:
     """The transpose of f: c' -> c, the unique g: d' -> d representing
     eta^{-1} . Delta(f) . eta; solved at the representing object and verified
-    everywhere (finite Yoneda)."""
+    everywhere (finite Yoneda).  The transpose of a morphism of D, through
+    Gamma, is this on omega.transposed()."""
     c, dd = omega.C, omega.D
     c1, c0 = c.dom[f], c.cod[f]  # f: c1 -> c0
     if d_prime not in omega.m_delta[c0]:
@@ -485,49 +464,18 @@ def transpose(omega: CrossConnection, f: int, d_prime: int, d: int) -> int:
     h2 = h_functor(omega.cs_d, delta2)
     nat = omega.dual_d.nat[omega.delta.morphisms[f]]
     # mu_d(1_d): eta1^{-1}(1_d) = delta1 itself, push through Delta(f), read eta2
-    start = omega.cs_d.index[omega.cs_d.cones[delta1]]
-    mid = nat[d][start]
-    g = h2.eta[d][mid]
+    g = h2.eta[d][nat[d][delta1]]
     if dd.dom[g] != d_prime or dd.cod[g] != d:
         raise NoSolution("Yoneda solve produced a morphism with wrong endpoints")
     for x in dd.objects:
         for h in dd.hom(d, x):
-            w = h1.maps[h][start]
+            w = h1.maps[h][delta1]
             expect = dd.compose(g, h)
             got = h2.eta[x][nat[x][w]]
             if got != expect:
                 raise MultipleSolutions(
                     f"transpose not represented by a single morphism at object {x}")
     return g
-
-
-def transpose_dual(omega: CrossConnection, g: int, c_prime: int, c: int) -> int:
-    """The dual transpose: for g: d' -> d in D, the unique f: c' -> c in C
-    representing eta^{-1} . Gamma(g) . eta, with c' in M-Gamma(d) and
-    c in M-Gamma(d')."""
-    cc, dd = omega.C, omega.D
-    d1, d0 = dd.dom[g], dd.cod[g]  # g: d1 -> d0
-    if c_prime not in omega.m_gamma[d0]:
-        raise PairNotInEOmega(f"c'={c_prime} not in M-Gamma({d0})")
-    if c not in omega.m_gamma[d1]:
-        raise PairNotInEOmega(f"c={c} not in M-Gamma({d1})")
-    gamma1 = omega.gamma_of[(c, d1)]
-    gamma2 = omega.gamma_of[(c_prime, d0)]
-    h1 = h_functor(omega.cs_c, gamma1)
-    h2 = h_functor(omega.cs_c, gamma2)
-    nat = omega.dual_c.nat[omega.gamma.morphisms[g]]
-    start = gamma1
-    mid = nat[c][start]
-    f = h2.eta[c][mid]
-    if cc.dom[f] != c_prime or cc.cod[f] != c:
-        raise NoSolution("dual Yoneda solve produced a morphism with wrong endpoints")
-    for x in cc.objects:
-        for h in cc.hom(c, x):
-            w = h1.maps[h][start]
-            if h2.eta[x][nat[x][w]] != cc.compose(f, h):
-                raise MultipleSolutions(
-                    f"dual transpose not represented by a single morphism at object {x}")
-    return f
 
 
 def chi(omega: CrossConnection, cd) -> dict:
@@ -780,75 +728,57 @@ def _certify_iso(f: FunctorData) -> CategoryIsoCertificate:
 
 def psi_roundtrip(omega: CrossConnection, somega: Optional[SOmega] = None) -> tuple:
     """F_Omega: C -> L(S-Omega) and G_Omega: D -> R(S-Omega), certified
-    isomorphisms of consistent categories."""
+    isomorphisms of consistent categories.  G_Omega is F_Omega of the
+    transposed cross-connection, into R(S-Omega) = L(S-Omega^op)."""
     if somega is None:
         somega = build_s_omega(omega)
     fs = somega.semigroup
-    l2 = build_ideal_category(fs, LEFT)
-    r2 = build_ideal_category(fs, RIGHT)
-
-    def f_obj(cobj):
-        d = min(omega.m_delta[cobj])
-        return object_of_idempotent(l2, somega.idempotent_pairs[(cobj, d)])
-
-    f_objects = {cobj: f_obj(cobj) for cobj in omega.C.objects}
-    f_morphisms = {}
-    fs_mul = fs.mul
-    for m in omega.C.morphisms:
-        c0, c1 = omega.C.dom[m], omega.C.cod[m]
-        d0 = min(omega.m_delta[c0])
-        d1 = min(omega.m_delta[c1])
-        e_pair = somega.idempotent_pairs[(c0, d0)]
-        f_pair = somega.idempotent_pairs[(c1, d1)]
-        g = cone_star(omega.C, omega.cs_c.cones[omega.gamma_of[(c0, d0)]],
-                      epi_component(omega.C, m))
-        gid = omega.cs_c.index[g]
-        # any linked partner gives the same element once sandwiched between
-        # the idempotents of the triple; uniqueness is part of the certificate
-        cands = {fs_mul(fs_mul(e_pair, somega.index[p]), f_pair)
-                 for p in somega.pairs if p[0] == gid}
-        if len(cands) != 1:
-            raise CertificateFailure(
-                f"F_Omega is not well-defined at {omega.C.label(m)}: {cands}")
-        u_slot = cands.pop()
-        if somega.pairs[u_slot][0] != gid:
-            raise CertificateFailure("sandwiching changed the gamma side")
-        t = locate_triple(l2, e_pair, u_slot, f_pair)
-        if t is None:
-            raise CertificateFailure("F_Omega image triple missing in L(S-Omega)")
-        f_morphisms[m] = t
-    f_cert = _certify_iso(FunctorData(omega.C, l2, f_objects, f_morphisms))
-
-    g_objects = {dobj: object_of_idempotent(
-        r2, somega.idempotent_pairs[(min(omega.m_gamma[dobj]), dobj)])
-        for dobj in omega.D.objects}
-    g_morphisms = {}
-    for m in omega.D.morphisms:
-        d0, d1 = omega.D.dom[m], omega.D.cod[m]
-        c0 = min(omega.m_gamma[d0])
-        c1 = min(omega.m_gamma[d1])
-        e_pair = somega.idempotent_pairs[(c0, d0)]
-        f_pair = somega.idempotent_pairs[(c1, d1)]
-        gg = cone_star(omega.D, omega.cs_d.cones[omega.delta_of[(c0, d0)]],
-                       epi_component(omega.D, m))
-        gid = omega.cs_d.index[gg]
-        cands = {fs_mul(fs_mul(f_pair, somega.index[p]), e_pair)
-                 for p in somega.pairs if p[1] == gid}
-        if len(cands) != 1:
-            raise CertificateFailure(
-                f"G_Omega is not well-defined at {omega.D.label(m)}: {cands}")
-        u_slot = cands.pop()
-        if somega.pairs[u_slot][1] != gid:
-            raise CertificateFailure("sandwiching changed the delta side")
-        t = locate_triple(r2, e_pair, u_slot, f_pair)
-        if t is None:
-            raise CertificateFailure("G_Omega image triple missing in R(S-Omega)")
-        g_morphisms[m] = t
-    g_cert = _certify_iso(FunctorData(omega.D, r2, g_objects, g_morphisms))
+    f_cert = _certify_iso(_psi_functor(
+        omega, somega.idempotent_pairs, [g for g, _ in somega.pairs],
+        build_ideal_category(fs, LEFT), "F_Omega"))
+    g_cert = _certify_iso(_psi_functor(
+        omega.transposed(), _flipped(somega.idempotent_pairs),
+        [d for _, d in somega.pairs], build_ideal_category(fs, RIGHT), "G_Omega"))
     if not f_cert.ok or not g_cert.ok:
         raise CertificateFailure(
             f"psi certificates failed: F: {f_cert.detail} G: {g_cert.detail}")
     return f_cert, g_cert
+
+
+def _psi_functor(omega: CrossConnection, idempotent_pairs: dict, gamma_side: list,
+                 target: SubobjectCategory, name: str) -> FunctorData:
+    """F_Omega: C -> target = L(S-Omega).  An object c goes to the ideal of
+    the idempotent pair at (c, min M-Delta(c)); f: c0 -> c1 goes to the
+    morphism (e, e u f, f) between those idempotent pairs, with u any linked
+    pair whose gamma side is gamma(c0, d0) * f°.  gamma_side[i] is the gamma
+    side of pair i, idempotent_pairs is keyed by (c, d)."""
+    c = omega.C
+    mul = target.semigroup.mul
+    anchor = {cobj: (cobj, min(omega.m_delta[cobj])) for cobj in c.objects}
+    objects = {cobj: object_of_idempotent(target, idempotent_pairs[anchor[cobj]])
+               for cobj in c.objects}
+    partners = {}
+    for i, gid in enumerate(gamma_side):
+        partners.setdefault(gid, []).append(i)
+    morphisms = {}
+    for m in c.morphisms:
+        cd0 = anchor[c.dom[m]]
+        e_pair, f_pair = idempotent_pairs[cd0], idempotent_pairs[anchor[c.cod[m]]]
+        g = cone_star(c, omega.cs_c.cones[omega.gamma_of[cd0]], epi_component(c, m))
+        gid = omega.cs_c.index[g]
+        # any linked partner gives the same element once sandwiched between
+        # the idempotents of the triple; uniqueness is part of the certificate
+        cands = {mul(mul(e_pair, i), f_pair) for i in partners.get(gid, ())}
+        if len(cands) != 1:
+            raise CertificateFailure(f"{name} is not well-defined at {c.label(m)}: {cands}")
+        u_slot = cands.pop()
+        if gamma_side[u_slot] != gid:
+            raise CertificateFailure(f"{name}: sandwiching changed the linked cone")
+        t = locate_triple(target, e_pair, u_slot, f_pair)
+        if t is None:
+            raise CertificateFailure(f"{name} image triple missing")
+        morphisms[m] = t
+    return FunctorData(c, target, objects, morphisms)
 
 
 def restrict_to_normal(omega: CrossConnection, somega: SOmega) -> frozenset:
@@ -958,26 +888,21 @@ def apply_cc_morphism(m: CCMorphism, somega: SOmega, somega2: SOmega) -> Semigro
 def cc_morphism_from_good_hom(h: SemigroupMap, omega: CrossConnection,
                               omega2: CrossConnection) -> CCMorphism:
     """Omega-h = (F_h, G_h): Se -> S'(eh), rho(e,u,f) -> rho(eh,uh,fh) and the
-    lambda-side dual."""
+    same map on R(S) = L(S^op)."""
     if not is_good_homomorphism(h):
         raise MAxiomViolation("M1", "h is not a good homomorphism")
-    c, d = omega.C, omega.D
-    c2, d2 = omega2.C, omega2.D
-    f_obj = {a: object_of_idempotent(c2, h(c.object_idem[a])) for a in c.objects}
-    f_mor = {}
-    for mm in c.morphisms:
-        e, u, f = c.triples[mm]
+    return CCMorphism(_triple_image(h, omega.C, omega2.C),
+                      _triple_image(h, omega.D, omega2.D))
+
+
+def _triple_image(h: SemigroupMap, c: SubobjectCategory,
+                  c2: SubobjectCategory) -> FunctorData:
+    objects = {a: object_of_idempotent(c2, h(c.object_idem[a])) for a in c.objects}
+    morphisms = {}
+    for m in c.morphisms:
+        e, u, f = c.triples[m]
         t = locate_triple(c2, h(e), h(u), h(f))
         if t is None:
-            raise MAxiomViolation("M1", f"image of rho triple {mm} missing")
-        f_mor[mm] = t
-    g_obj = {a: object_of_idempotent(d2, h(d.object_idem[a])) for a in d.objects}
-    g_mor = {}
-    for mm in d.morphisms:
-        e, u, f = d.triples[mm]
-        t = locate_triple(d2, h(e), h(u), h(f))
-        if t is None:
-            raise MAxiomViolation("M1", f"image of lambda triple {mm} missing")
-        g_mor[mm] = t
-    return CCMorphism(FunctorData(c, c2, f_obj, f_mor),
-                      FunctorData(d, d2, g_obj, g_mor))
+            raise MAxiomViolation("M1", f"image of {c.label(m)} missing")
+        morphisms[m] = t
+    return FunctorData(c, c2, objects, morphisms)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
+from .cones import BudgetExceeded
 from .semigroups import (
     FiniteSemigroup,
     ic_check,
@@ -22,12 +23,6 @@ from .semigroups import (
 )
 
 MAX_SEARCH_ORDER = 5
-
-
-class BudgetExceeded(Exception):
-    def __init__(self, partial):
-        self.partial = partial
-        super().__init__("search budget exceeded")
 
 
 @dataclass(frozen=True)
@@ -136,7 +131,7 @@ def _matches(flags: dict, predicate) -> bool:
 
 
 def run_search(spec: SearchSpec, budget_seconds: Optional[float] = None,
-               jobs: int = 1, witness_cap: int = 10) -> dict:
+               witness_cap: int = 10) -> dict:
     """Census per order with counts and witness tables; deterministic."""
     start = time.monotonic()
     census = {"spec": {"max_order": spec.max_order,
@@ -154,19 +149,12 @@ def run_search(spec: SearchSpec, budget_seconds: Optional[float] = None,
             enumerated += 1
             if enumerated % 256 == 0 and out_of_budget():
                 census["complete"] = False
-                raise BudgetExceeded(census)
+                raise BudgetExceeded("search budget exceeded", census)
             if spec.symmetry_reduction and canonical_form(table) != table:
                 continue
             candidates.append(table)
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                flag_list = list(pool.map(evaluate_predicates, candidates,
-                                          chunksize=64))
-        else:
-            flag_list = [evaluate_predicates(t) for t in candidates]
-        matching = [t for t, flags in zip(candidates, flag_list)
-                    if _matches(flags, spec.predicate)]
+        matching = [t for t in candidates
+                    if _matches(evaluate_predicates(t), spec.predicate)]
         census["orders"][str(n)] = {
             "tables_enumerated": enumerated,
             "candidates": len(candidates),
@@ -174,10 +162,8 @@ def run_search(spec: SearchSpec, budget_seconds: Optional[float] = None,
             "witnesses": [[list(r) for r in t] for t in matching[:witness_cap]],
         }
         census["total_matching"] += len(matching)
-        from .semigroups import clear_caches
-        clear_caches()
         if out_of_budget():
             census["complete"] = n == spec.max_order
             if not census["complete"]:
-                raise BudgetExceeded(census)
+                raise BudgetExceeded("search budget exceeded", census)
     return census

@@ -6,8 +6,8 @@ on idempotents.  Products read left to right: table[i][j] is i*j.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import wraps
 from typing import Iterable, Optional
 
 LEFT = "left"
@@ -47,6 +47,10 @@ class FiniteSemigroup:
     table: tuple[tuple[int, ...], ...]
     names: Optional[tuple[str, ...]] = None
     has_adjoined_identity: bool = False
+    # derived data (see _memoised), owned by this instance; compare=False
+    # keeps it out of == and hash, init=False keeps dataclasses.replace from
+    # carrying it into a changed copy
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -66,18 +70,34 @@ class FiniteSemigroup:
         return self.table[e][e] == e
 
     def op(self) -> "FiniteSemigroup":
-        """The opposite semigroup (transposed table)."""
-        n = self.order
-        table = tuple(tuple(self.table[j][i] for j in range(n)) for i in range(n))
-        return FiniteSemigroup(table, self.names, self.has_adjoined_identity)
+        """The opposite semigroup (transposed table); s.op().op() is s."""
+        if "op" not in self._memo:
+            n = self.order
+            table = tuple(tuple(self.table[j][i] for j in range(n)) for i in range(n))
+            op = FiniteSemigroup(table, self.names, self.has_adjoined_identity)
+            op._memo["op"] = self
+            self._memo["op"] = op
+        return self._memo["op"]
 
 
-@lru_cache(maxsize=None)
+def _memoised(fn):
+    """Cache fn(s, *args) in s._memo, so that it lives and dies with s."""
+    @wraps(fn)
+    def cached(s: FiniteSemigroup, *args):
+        key = (fn, *args) if args else fn
+        memo = s._memo
+        if key not in memo:
+            memo[key] = fn(s, *args)
+        return memo[key]
+    return cached
+
+
+@_memoised
 def idempotents(s: FiniteSemigroup) -> tuple[int, ...]:
     return tuple(e for e in s.elements if s.table[e][e] == e)
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def identity_of(s: FiniteSemigroup) -> Optional[int]:
     for e in s.elements:
         if all(s.table[e][x] == x == s.table[x][e] for x in s.elements):
@@ -142,7 +162,7 @@ def validate_table(raw, names=None, one: Optional[int] = None) -> FiniteSemigrou
     return s
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
     """S^1: S itself when S is a monoid, otherwise S with an identity appended."""
     if identity_of(s) is not None:
@@ -222,7 +242,7 @@ class GreenRelations:
     d: EqRelation
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def green_classes(s: FiniteSemigroup) -> GreenRelations:
     """L via S^1 a set equality, R via a S^1, H = L meet R, D = L join R."""
     n = s.order
@@ -233,7 +253,7 @@ def green_classes(s: FiniteSemigroup) -> GreenRelations:
     return GreenRelations(l, r, l.meet(r), l.join(r))
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def starred_relation(s: FiniteSemigroup, side: str) -> EqRelation:
     """L* (side=LEFT): a == b iff x -> ax and x -> bx induce the same kernel
     partition of S^1; R* dual with x -> xa."""
@@ -264,7 +284,7 @@ class AbundanceResult:
                      if self.dagger[a] is None or self.star[a] is None)
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def is_abundant(s: FiniteSemigroup) -> AbundanceResult:
     lstar = starred_relation(s, LEFT)
     rstar = starred_relation(s, RIGHT)
@@ -301,7 +321,7 @@ class BiorderedSet:
         return frozenset((g, e) for (g, e) in self.omega_l if (g, e) in self.omega_r)
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def biorder(s: FiniteSemigroup) -> BiorderedSet:
     es = idempotents(s)
     om_l = frozenset((e, f) for e in es for f in es if s.table[e][f] == e)
@@ -326,7 +346,7 @@ class IdempotentGenerated:
     non_regular_witness: Optional[int]
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def regular_elements(s: FiniteSemigroup) -> frozenset:
     return frozenset(x for x in s.elements
                      if any(s.table[s.table[x][y]][x] == x for y in s.elements))
@@ -336,7 +356,7 @@ def is_regular(s: FiniteSemigroup) -> bool:
     return len(regular_elements(s)) == s.order
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def idempotent_generated(s: FiniteSemigroup) -> IdempotentGenerated:
     """Closure of E(S) under product, and regularity of that subsemigroup."""
     sub = set(idempotents(s))
@@ -413,7 +433,7 @@ class ICResult:
     non_forced: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def ic_check(s: FiniteSemigroup) -> ICResult:
     """Idempotent-connectedness, checked for the canonical (a_dagger, a_star)
     pair of every element (the definition asks for *some* pair; convention
@@ -445,7 +465,7 @@ class ConcordanceReport:
     ic: Optional[ICResult]
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def is_concordant(s: FiniteSemigroup) -> ConcordanceReport:
     ab = is_abundant(s)
     ig = idempotent_generated(s)
@@ -506,15 +526,6 @@ def is_good_homomorphism(phi: SemigroupMap) -> bool:
                 if src.same(a, b) and not dst.same(phi.image[a], phi.image[b]):
                     return False
     return True
-
-
-def clear_caches() -> None:
-    """Drop the memoised per-semigroup computations (used by the census
-    between orders so unreduced large sweeps stay flat in memory)."""
-    for fn in (idempotents, identity_of, adjoin_identity, green_classes,
-               starred_relation, is_abundant, biorder, regular_elements,
-               idempotent_generated, ic_check, is_concordant):
-        fn.cache_clear()
 
 
 def direct_product(s: FiniteSemigroup, t: FiniteSemigroup) -> FiniteSemigroup:

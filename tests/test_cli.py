@@ -109,6 +109,27 @@ def test_search_budget_exit_code(capsys):
     assert json.loads(out)["complete"] is False
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["roundtrip", "--preset", "cyclic:2", "--cones", "bogus"], "invalid choice: 'bogus'"),
+    (["search", "--max-order", "x"], "invalid int value: 'x'"),
+    (["search"], "the following arguments are required: --max-order"),
+    (["export", "--preset", "cyclic:2"], "the following arguments are required: --what"),
+])
+def test_usage_errors_exit_1(argv, why, capsys):
+    # argparse's own exit 2 would read as "not concordant"
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("parse error: concordia") and why in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--help"])
+    assert exc.value.code == 0
+    assert "--max-order" in capsys.readouterr().out
+
+
 def test_search_rejects_bad_spec(capsys):
     code, _, err = run(["search", "--max-order", "99"], capsys)
     assert code == 1 and "max_order" in err

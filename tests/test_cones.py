@@ -6,9 +6,9 @@ from concordia.cones import (
     EPSILON_STAR_U,
     FULL_ENUMERATION,
     PRINCIPAL_ONLY,
+    BudgetExceeded,
     Cone,
     NotIdempotentCone,
-    SearchBudgetExceeded,
     build_cone_semigroup,
     category_to_lhat_iso,
     compose_cones,
@@ -265,7 +265,7 @@ def test_joint_principal_pair_injective_when_weakly_reductive(name):
 
 def test_search_budget_exceeded():
     s, c = setup("full-transformation:2")
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         enumerate_idempotent_cones(c, budget=1)
 
 

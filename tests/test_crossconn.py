@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
 from concordia import presets
 from concordia.categories import build_ideal_category, morphism_flags
-from concordia.cones import PRINCIPAL_ONLY, build_cone_semigroup, h_functor
+from concordia.cones import EPSILON_STAR_U, PRINCIPAL_ONLY, build_cone_semigroup, h_functor
 from concordia.crossconn import (
     CCMorphism,
     FunctorData,
@@ -15,6 +17,7 @@ from concordia.crossconn import (
     build_s_omega,
     cc_morphism_from_good_hom,
     chi,
+    delta_cd,
     delta_values,
     gamma_cd,
     gamma_values,
@@ -33,7 +36,13 @@ from concordia.semigroups import (
     is_concordant,
     validate_table,
 )
-from conftest import SMALL_PRESETS, NONREGULAR_CONCORDANT, omega_bundle, semigroup
+from conftest import (
+    SMALL_PRESETS,
+    NONREGULAR_CONCORDANT,
+    concordant_classes,
+    omega_bundle,
+    semigroup,
+)
 
 
 def test_build_dual_sl2():
@@ -157,8 +166,7 @@ def test_transpose_involution(name):
             for d in sorted(omega.m_delta[c1]):
                 g = transpose(omega, f, d_prime, d)
                 # dual transpose anchored with the M-set duality partners
-                from concordia.crossconn import transpose_dual
-                f_back = transpose_dual(omega, g, c1, c0)
+                f_back = transpose(omega.transposed(), g, c1, c0)
                 assert f_back == f
 
 
@@ -361,3 +369,83 @@ def test_cc_morphism_axiom_violation_detected():
     with pytest.raises(MAxiomViolation) as exc:
         validate_cc_morphism(CCMorphism(f, g), omega, omega)
     assert exc.value.axiom == "M2"
+
+
+# --- Omega(S^op) is Omega(S) transposed, id for id -------------------------
+
+def same_data(a, b, seen=None):
+    """Equality of pipeline data field by field, ignoring the `side` label of
+    a category and memo fields (names starting with '_')."""
+    seen = set() if seen is None else seen
+    if (id(a), id(b)) in seen:
+        return True
+    if dataclasses.is_dataclass(a):
+        ok = type(a) is type(b) and all(
+            same_data(getattr(a, f.name), getattr(b, f.name), seen)
+            for f in dataclasses.fields(a)
+            if f.name != "side" and not f.name.startswith("_"))
+    elif isinstance(a, dict):
+        ok = (isinstance(b, dict) and a.keys() == b.keys()
+              and all(same_data(v, b[k], seen) for k, v in a.items()))
+    elif isinstance(a, (tuple, list)):
+        ok = (type(a) is type(b) and len(a) == len(b)
+              and all(same_data(x, y, seen) for x, y in zip(a, b)))
+    else:
+        ok = a == b
+    if ok:
+        seen.add((id(a), id(b)))
+    return ok
+
+
+def assert_op_is_transpose(s, mode):
+    omega = build_omega_s(s, mode)
+    t = omega.transposed()
+    assert t.transposed() is omega
+    op = build_omega_s(s.op(), mode)
+    # categories, cone lists, duals, Gamma/Delta, M-sets, gamma_of/delta_of
+    # and E_Omega, in one walk
+    assert same_data(op, t)
+    assert op.e_omega == t.e_omega == tuple(sorted((d, c) for c, d in omega.e_omega))
+    assert op.gamma_of == {(d, c): i for (c, d), i in omega.delta_of.items()}
+
+
+def test_same_data_sees_a_difference():
+    omega = omega_bundle("left-zero:2")[1]
+    assert same_data(omega, omega)
+    assert not same_data(omega, omega.transposed())
+    changed = dataclasses.replace(omega, gamma_of={**omega.gamma_of, (0, 0): -1})
+    assert not same_data(omega, changed)
+
+
+@pytest.mark.parametrize("mode", [PRINCIPAL_ONLY, EPSILON_STAR_U])
+@pytest.mark.parametrize("name", SMALL_PRESETS + ("direct-product:left-zero:2*cyclic:2",))
+def test_omega_of_op_is_transposed_presets(name, mode):
+    assert_op_is_transpose(semigroup(name), mode)
+
+
+@pytest.mark.parametrize("mode", [PRINCIPAL_ONLY, EPSILON_STAR_U])
+def test_omega_of_op_is_transposed_up_to_order_4(mode):
+    for table in concordant_classes(4):
+        assert_op_is_transpose(validate_table(table), mode)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode", [PRINCIPAL_ONLY, EPSILON_STAR_U])
+def test_omega_of_op_is_transposed_order_5(mode):
+    for table in concordant_classes(5):
+        if len(table) == 5:
+            assert_op_is_transpose(validate_table(table), mode)
+
+
+def test_right_side_helpers_are_left_side_on_transpose():
+    _, omega, _ = omega_bundle("brandt-b2")
+    t = omega.transposed()
+    for cobj in omega.C.objects:
+        for dobj in omega.D.objects:
+            assert delta_values(omega, cobj, dobj) == \
+                omega.dual_d.h[omega.delta.objects[cobj]].values[dobj]
+            assert gamma_values(t, dobj, cobj) == delta_values(omega, cobj, dobj)
+    for cd in omega.e_omega:
+        assert delta_cd(omega, cd) == omega.delta_of[cd]
+    with pytest.raises(PairNotInEOmega):
+        delta_cd(omega, (-1, -1))

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from concordia import presets
@@ -419,3 +423,19 @@ def test_direct_product_structure():
     prod = direct_product(semigroup("semilattice-chain:2"), semigroup("cyclic:3"))
     assert prod.order == 6
     assert is_concordant(prod).concordant
+
+
+def test_semigroup_owns_its_derived_data():
+    s = presets.preset("full-transformation:2")
+    assert is_concordant(s).concordant
+    assert is_concordant(s) is is_concordant(s)
+    assert starred_relation(s, LEFT) is starred_relation(s, LEFT)
+    assert s.op().op() is s
+    copy = dataclasses.replace(s)
+    assert copy == s and hash(copy) == hash(s)
+    assert s._memo and copy._memo == {}
+    # nothing outside s keeps s alive
+    ref = weakref.ref(s)
+    del s
+    gc.collect()
+    assert ref() is None
