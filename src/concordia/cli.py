@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 parse/validation error, 2 input not concordant,
 3 certificate failure (artifacts retained), 4 search budget exceeded
-(partial census printed).
+(partial census printed).  A SemigroupError raised once the input has been
+read (NotAbundant from a factorisation, say) is a certificate failure.
 
 Products compose left to right throughout: table[i][j] is "i then j", and
 morphisms are written in the order of their composition.
@@ -122,7 +123,8 @@ def cmd_roundtrip(args) -> int:
         emit("report.txt", "\n".join(report) + "\n")
         sys.stdout.write("\n".join(report) + "\n")
         return EXIT_NOT_CONCORDANT
-    except (CertificateFailure, CrossConnectionError, CategoryError) as exc:
+    except (CertificateFailure, CrossConnectionError, CategoryError,
+            SemigroupError) as exc:
         report.append(f"CERTIFICATE FAILURE: {exc}")
         emit("report.txt", "\n".join(report) + "\n")
         sys.stdout.write("\n".join(report) + "\n")
@@ -165,7 +167,7 @@ def cmd_export(args) -> int:
         except NotConcordant as exc:
             sys.stderr.write(str(exc) + "\n")
             return EXIT_NOT_CONCORDANT
-        except (CrossConnectionError, CategoryError) as exc:
+        except (CrossConnectionError, CategoryError, SemigroupError) as exc:
             sys.stderr.write(f"certificate failure: {exc}\n")
             return EXIT_CERTIFICATE
         text = (ser.icc_to_dot(icc) if args.format == "dot"

@@ -7,7 +7,7 @@ semigroup multiplies by g1 * (g2(vertex of g1))°.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import prod
 from typing import Optional
@@ -225,6 +225,7 @@ class ConeSemigroup:
     # so it is recorded rather than enforced
     normal_full: bool = True
     _h_cache: Optional[dict] = None
+    _by_functor: Optional[dict] = field(default=None, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -435,13 +436,14 @@ def concordance_of_cone_semigroup(cs: ConeSemigroup) -> ConeConcordance:
 @dataclass
 class HFunctor:
     """H(eps;-) stored extensionally: per object the set of cone ids, the
-    representing bijection eta to hom(c_eps, -), the morphism action and the
-    M-set."""
+    representing bijection eta to hom(c_eps, -), its inverse cone_of, the
+    morphism action and the M-set."""
 
     eps: int
     vertex: int
     values: tuple
     eta: tuple  # per object: {cone id -> morphism f with eps*f° = cone}
+    cone_of: dict  # per morphism f out of the vertex: the cone id of eps*f°
     maps: dict  # per category morphism g: {cone id -> cone id}
     m_set: frozenset
 
@@ -460,7 +462,7 @@ def h_functor(cs: ConeSemigroup, eps_id: int) -> HFunctor:
         raise NotIdempotentCone(f"cone {eps_id} is not idempotent")
     v = eps_cone.vertex
     values, eta = [], []
-    cone_of = {}  # f out of v -> the cone id of eps*f°
+    cone_of = {}
     for obj in c.objects:
         val = {}
         for f in c.hom(v, obj):
@@ -476,18 +478,38 @@ def h_functor(cs: ConeSemigroup, eps_id: int) -> HFunctor:
     maps = {}
     for g in c.morphisms:
         maps[g] = {gid: cone_of[c.compose(f, g)] for gid, f in eta[c.dom[g]].items()}
-    # maps[g] is keyed by eta[dom g], so maps[g1] and maps[g1 g2] share keys
-    for g1 in c.morphisms:
+    _check_functorial(c, maps)
+    m_set = frozenset(obj for obj in c.objects
+                      if morphism_flags(c, eps_cone.components[obj]).isomorphism)
+    out = HFunctor(eps_id, v, tuple(values), tuple(eta), cone_of, maps, m_set)
+    cs._h_cache[eps_id] = out
+    return out
+
+
+def _check_functorial(c: SubobjectCategory, maps: dict) -> None:
+    """maps[g1 g2] = maps[g1] then maps[g2] for every composable pair,
+    checked for g1 in c.generators() only: that suffices by Light's test
+    (see SubobjectCategory.generators), as each maps[g] is a map from the
+    values at dom g to the values at cod g.  maps[g1] and maps[g1 g2] are
+    keyed by the same values, so whole dicts are compared."""
+    for g1 in c.generators():
         map1 = maps[g1]
         for g2 in c.outgoing(c.cod[g1]):
             map2 = maps[g2]
             if {gid: map2[x] for gid, x in map1.items()} != maps[c.compose(g1, g2)]:
                 raise AxiomFailure("H-functor is not functorial")
-    m_set = frozenset(obj for obj in c.objects
-                      if morphism_flags(c, eps_cone.components[obj]).isomorphism)
-    out = HFunctor(eps_id, v, tuple(values), tuple(eta), maps, m_set)
-    cs._h_cache[eps_id] = out
-    return out
+
+
+def idempotent_cones_by_functor(cs: ConeSemigroup) -> dict:
+    """(vertex, values of H(eps;-)) -> the idempotent cone ids eps with that
+    vertex and H-functor values, ascending; built once per cone semigroup."""
+    if cs._by_functor is None:
+        by_functor: dict = {}
+        for i in cs.idempotent_ids():
+            h = h_functor(cs, i)
+            by_functor.setdefault((h.vertex, h.values), []).append(i)
+        cs._by_functor = {key: tuple(ids) for key, ids in by_functor.items()}
+    return cs._by_functor
 
 
 @dataclass

@@ -36,6 +36,7 @@ from .cones import (
     cone_flags,
     cone_star,
     h_functor,
+    idempotent_cones_by_functor,
 )
 from .semigroups import (
     LEFT,
@@ -181,19 +182,27 @@ def _freeze_action(action) -> tuple:
     return tuple(tuple(sorted(step.items())) for step in action)
 
 
-def _conjugated_action(cs: ConeSemigroup, h_src, dst_cone, gt: int) -> list:
+def _conjugated_action(c: SubobjectCategory, h_src, h_dst, gt: int) -> list:
     """The natural transformation eta_src . Hom(gt, -) . eta_dst^{-1} as
-    per-object maps on cone ids: eps_src * f° goes to dst * (gt f)°."""
-    c, index = cs.category, cs.index
-    return [{gid: index[cone_star(c, dst_cone, epi_component(c, c.compose(gt, fx)))]
-             for gid, fx in eta.items()}
+    per-object maps on cone ids: eps_src * f° goes to eps_dst * (gt f)°,
+    read off h_dst.cone_of."""
+    cone_of = h_dst.cone_of
+    return [{gid: cone_of[c.compose(gt, fx)] for gid, fx in eta.items()}
             for eta in h_src.eta]
 
 
 def build_dual(cs: ConeSemigroup) -> DualCategory:
     """C* via the bijection lambda(eps, gamma, eps') -> gamma~ =
     gamma(c_eps') . j, with the eta-square realisation of every hom and the
-    subfunctor order checked against the right-ideal order."""
+    subfunctor order checked against the right-ideal order.
+
+    The naturality squares and the subfunctor maps are checked at the
+    generators of C, and the functoriality of the realisation for first
+    factors among the generators of the base R(C-hat): by Light's test (see
+    SubobjectCategory.generators) that is exact, given that the H-functors
+    are functors, which h_functor certifies, and that composition in C and
+    in R(C-hat) is associative, which the validated tables of S and C-hat
+    give."""
     c = cs.category
     base = build_ideal_category(cs.table, RIGHT)
     reps = base.object_idem
@@ -215,7 +224,7 @@ def build_dual(cs: ConeSemigroup) -> DualCategory:
         if (o1, o2, gt) in tilde_index:
             raise AxiomFailure("gamma~ realisation is not injective")
         tilde_index[(o1, o2, gt)] = m
-        action = _conjugated_action(cs, hs[o1], cs.cones[reps[o2]], gt)
+        action = _conjugated_action(c, hs[o1], hs[o2], gt)
         for step, values in zip(action, hs[o2].values):
             if not values.issuperset(step.values()):
                 raise NaturalityFailure("nat component leaves the target H-functor")
@@ -231,29 +240,52 @@ def build_dual(cs: ConeSemigroup) -> DualCategory:
             want = set(c.hom(cs.cones[reps[o2]].vertex, cs.cones[reps[o1]].vertex))
             if got != want:
                 raise AxiomFailure("gamma~ is not onto the underlying hom-set")
-    # each nat is a natural transformation; the assignment is functorial
+    _check_naturality(c, base, hs, nat)
+    _check_dual_functorial(base, nat)
+    _check_subfunctor_order(c, base, hs)
+    return DualCategory(base, cs, c, hs, reps, nat, gamma_tilde, tilde_index,
+                        action_index)
+
+
+def _check_naturality(c: SubobjectCategory, base: SubobjectCategory, hs: tuple,
+                      nat: dict) -> None:
+    """Each nat[m] is a natural transformation H(dom m) -> H(cod m): the
+    square at g is checked for g in c.generators(), and the squares at g1
+    and g2 paste to the square at g1 g2."""
+    gens = c.generators()
     for m in base.morphisms:
         maps1, maps2, nat_m = hs[base.dom[m]].maps, hs[base.cod[m]].maps, nat[m]
-        for g in c.morphisms:
+        for g in gens:
             map1, map2, after = maps1[g], maps2[g], nat_m[c.cod[g]]
             for gid, x in nat_m[c.dom[g]].items():
                 if map2[x] != after[map1[gid]]:
                     raise NaturalityFailure(f"square fails for dual morphism {m} at {g}")
-    # nat[m][obj] is keyed by the values of hs[dom m], so nat[m1] and
-    # nat[m1 m2] share keys
-    for m1 in base.morphisms:
+
+
+def _check_dual_functorial(base: SubobjectCategory, nat: dict) -> None:
+    """nat[m1 m2] = nat[m1] then nat[m2], for m1 in base.generators().
+    nat[m][obj] is keyed by the values of the H-functor of dom m, so nat[m1]
+    and nat[m1 m2] share keys."""
+    for m1 in base.generators():
         for m2 in base.outgoing(base.cod[m1]):
             composite = tuple({gid: step2[x] for gid, x in step1.items()}
                               for step1, step2 in zip(nat[m1], nat[m2]))
             if composite != nat[base.compose(m1, m2)]:
                 raise AxiomFailure("dual realisation is not functorial")
-    # subfunctor order matches the right-ideal order
+
+
+def _check_subfunctor_order(c: SubobjectCategory, base: SubobjectCategory,
+                            hs: tuple) -> None:
+    """H(o1) is a subfunctor of H(o2) exactly when o1 <= o2 in the base: its
+    values lie pointwise inside, and its maps agree with those of H(o2) at
+    every generator of C, hence at every morphism."""
+    gens = c.generators()
     for o1 in base.objects:
         for o2 in base.objects:
             pointwise = all(hs[o1].values[obj] <= hs[o2].values[obj]
                             for obj in c.objects)
             if pointwise:
-                for g in c.morphisms:
+                for g in gens:
                     for gid in hs[o1].values[c.dom[g]]:
                         if hs[o1].maps[g][gid] != hs[o2].maps[g][gid]:
                             pointwise = False
@@ -263,8 +295,6 @@ def build_dual(cs: ConeSemigroup) -> DualCategory:
             if pointwise != ((o1, o2) in base.leq):
                 raise AxiomFailure(
                     f"subfunctor order disagrees with ideal order on {(o1, o2)}")
-    return DualCategory(base, cs, c, hs, reps, nat, gamma_tilde, tilde_index,
-                        action_index)
 
 
 @dataclass
@@ -310,7 +340,7 @@ def _flipped(by_pair: dict) -> dict:
 def _unique_idempotent_cone(dual: DualCategory, obj: int, vertex: int) -> int:
     """Lemma-backed: the unique idempotent cone xi with the given vertex and
     H(xi;-) equal to the object's H-functor; built as eps * u^{-1} and
-    checked unique by exhausting E(C-hat)."""
+    checked unique against the index of E(C-hat) by (vertex, values)."""
     cs = dual.cone_semigroup
     c = cs.category
     eps_id = dual.rep[obj]
@@ -323,12 +353,10 @@ def _unique_idempotent_cone(dual: DualCategory, obj: int, vertex: int) -> int:
     if xi not in cs.index:
         raise AxiomFailure("eps * u^{-1} escaped the cone semigroup")
     xi_id = cs.index[xi]
-    target = dual.h[obj]
-    matches = [i for i in cs.idempotent_ids()
-               if cs.cones[i].vertex == vertex
-               and h_functor(cs, i).values == target.values]
-    if matches != [xi_id]:
-        raise MultipleSolutions(f"idempotent cone at vertex {vertex} not unique: {matches}")
+    matches = idempotent_cones_by_functor(cs).get((vertex, dual.h[obj].values), ())
+    if matches != (xi_id,):
+        raise MultipleSolutions(
+            f"idempotent cone at vertex {vertex} not unique: {list(matches)}")
     return xi_id
 
 
@@ -384,7 +412,7 @@ def _gamma_functor(d: SubobjectCategory, dual_c: DualCategory, name: str,
         if gt is None:
             raise AxiomFailure(f"{name}: no morphism (f,u,e) of the other side "
                                f"for {d.label(m)}")
-        action = _conjugated_action(cs_c, h_functor(cs_c, p[e]), cs_c.cones[p[f]], gt)
+        action = _conjugated_action(c, h_functor(cs_c, p[e]), h_functor(cs_c, p[f]), gt)
         key = (objects[d.dom[m]], objects[d.cod[m]], _freeze_action(action))
         if key not in dual_c.action_index:
             raise AxiomFailure(f"{name} morphism image not found in the dual")

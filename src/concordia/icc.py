@@ -218,12 +218,17 @@ def check_icc_axioms(icc: InductiveCategory) -> AxiomReport:
 
     # partial order sanity: reflexive, antisymmetric, transitive
     ok = all((m, m) in icc.order for m in range(len(icc.morphisms)))
+    # above[b] lists the e with b <= e in the iteration order of the order,
+    # so the witnesses come out as a scan of all pairs (b2, e) gives them
+    above: dict = {}
+    for (b, e) in icc.order:
+        above.setdefault(b, []).append(e)
     for (a, b) in icc.order:
         if (b, a) in icc.order and a != b:
             ok = False
             witnesses["order"] = f"antisymmetry fails on {a},{b}"
-        for (b2, e) in icc.order:
-            if b2 == b and (a, e) not in icc.order:
+        for e in above.get(b, ()):
+            if (a, e) not in icc.order:
                 ok = False
                 witnesses["order"] = f"transitivity fails via {a},{b},{e}"
     axioms["order"] = ok

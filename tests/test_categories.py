@@ -456,6 +456,52 @@ def test_validate_category_matches_scan_on_mutations(name):
             ("endpoints", CategoryError, "compose")} <= seen
 
 
+def subobject_scan(c):
+    """Reference: the partial-order and inclusion-composition checks of
+    validate_category over every pair of order pairs."""
+    for (a, b) in c.leq:
+        if (b, a) in c.leq and a != b:
+            raise CategoryError(f"leq not antisymmetric on {(a, b)}")
+        for (b2, d) in c.leq:
+            if b2 == b and (a, d) not in c.leq:
+                raise CategoryError(f"leq not transitive via {(a, b, d)}")
+    for (a, b), j in c.inclusions.items():
+        if (a, b) not in c.leq or c.dom[j] != a or c.cod[j] != b:
+            raise CategoryError(f"bad inclusion for {(a, b)}")
+    for (a, b) in c.leq:
+        for (b2, d) in c.leq:
+            if b2 == b:
+                lhs = c.compose(c.inclusions[(a, b)], c.inclusions[(b, d)])
+                if lhs != c.inclusions[(a, d)]:
+                    raise CategoryError(f"inclusions do not compose along {(a, b, d)}")
+
+
+@pytest.mark.parametrize("name", ["full-transformation:2", "brandt-b2",
+                                  "semilattice-chain:3"])
+def test_order_checks_match_scan_on_mutations(name):
+    # the grouped order loops of validate_category report what the pairwise
+    # scan reports; every mutation of the order or of an inclusion fails
+    failed = 0
+    for side in (LEFT, RIGHT):
+        c = build_ideal_category(semigroup(name), side)
+        strict = sorted(p for p in c.leq if p[0] != p[1])
+        inclusion = {key: j for key, j in c.inclusions.items() if key[0] != key[1]}
+        mutated = [dataclasses.replace(c, leq=c.leq | {(b, a)}) for (a, b) in strict]
+        mutated += [dataclasses.replace(c, leq=c.leq - {p}) for p in strict]
+        mutated += [dataclasses.replace(c, inclusions={**c.inclusions, key: other})
+                    for key, j in sorted(inclusion.items())
+                    for other in c.hom(*key)[:2] if other != j]
+        assert outcome(validate_category, c) is None
+        for bad in mutated:
+            want = outcome(subobject_scan, bad)
+            if want is None:
+                # the mono and left-division checks that follow are shared code
+                continue
+            assert outcome(validate_category, bad) == want
+            failed += 1
+    assert failed > 0
+
+
 def check_functor_scan(f):
     """Reference: functor checks over every ordered pair of morphisms."""
     from concordia.crossconn import NotAFunctor

@@ -212,8 +212,23 @@ def test_roundtrip_other_category_errors_exit_3(exc, tmp_path, capsys, monkeypat
     assert "CERTIFICATE FAILURE: injected" in (tmp_path / "report.txt").read_text()
 
 
+def test_roundtrip_not_abundant_mid_pipeline_is_certificate_failure(
+        tmp_path, capsys, monkeypatch):
+    from concordia.semigroups import NotAbundant
+    monkeypatch.setattr("concordia.cli.build_s_omega",
+                        _raise(NotAbundant("injected: no starred witness")))
+    code, stdout, err = run(["roundtrip", "--preset", "cyclic:2",
+                             "--out", str(tmp_path)], capsys)
+    assert code == 3 and err == ""
+    report = (tmp_path / "report.txt").read_text()
+    assert "CERTIFICATE FAILURE: injected: no starred witness" in report
+    assert report == stdout
+    assert (tmp_path / "omega.json").exists()  # artifacts retained
+
+
 @pytest.mark.parametrize("exc", ["categories.AxiomFailure",
-                                 "crossconn.NaturalityFailure"])
+                                 "crossconn.NaturalityFailure",
+                                 "semigroups.NotAbundant"])
 def test_export_icc_certificate_failure_exit_3(exc, capsys, monkeypatch):
     import importlib
     module, name = exc.split(".")

@@ -146,3 +146,33 @@ def test_inductive_functor_projection():
     ccm = cc_morphism_from_good_hom(h, omega1, omega2)
     cert = inductive_functor(ccm, icc1, icc2)
     assert cert.ok
+
+
+def order_witness_scan(icc):
+    """Reference: the order checks over every pair of order pairs."""
+    ok = all((m, m) in icc.order for m in range(len(icc.morphisms)))
+    witness = None
+    for (a, b) in icc.order:
+        if (b, a) in icc.order and a != b:
+            ok, witness = False, f"antisymmetry fails on {a},{b}"
+        for (b2, e) in icc.order:
+            if b2 == b and (a, e) not in icc.order:
+                ok, witness = False, f"transitivity fails via {a},{b},{e}"
+    return ok, witness
+
+
+@pytest.mark.parametrize("name", ["semilattice-chain:3", "brandt-b2"])
+def test_order_checks_match_scan_on_mutations(name):
+    _, _, _, icc = icc_bundle(name)
+    pairs = sorted(icc.order)
+    mutated = [icc.order - {p} for p in pairs if p[0] != p[1]]
+    mutated += [icc.order | {(b, a)} for (a, b) in pairs if a != b]
+    failed = 0
+    for order in [icc.order] + mutated:
+        bad = dataclasses.replace(icc, order=order)
+        rep = check_icc_axioms(bad)
+        ok, witness = order_witness_scan(bad)
+        assert rep.axioms["order"] == ok
+        assert rep.witnesses.get("order") == witness
+        failed += not ok
+    assert failed > 0
