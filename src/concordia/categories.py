@@ -552,10 +552,6 @@ def epi_component(c: SubobjectCategory, m: int) -> int:
     return c._epi[m]
 
 
-def image_object(c: SubobjectCategory, m: int) -> int:
-    return c.cod[epi_component(c, m)]
-
-
 def normal_factorisation(c: SubobjectCategory, m: int) -> Optional[Factorisation]:
     """retraction * isomorphism * inclusion decomposition, or None.
 

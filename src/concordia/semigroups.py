@@ -133,9 +133,16 @@ def validate_table(raw, names=None, one: Optional[int] = None) -> FiniteSemigrou
     Associativity is checked by a full triple scan for n <= 64 and by
     Light's test against a generating set for larger tables.
     """
-    n = len(raw)
-    if n == 0 or any(len(row) != n for row in raw):
+    grid = (list, tuple)
+    if (not isinstance(raw, grid) or not raw
+            or any(not isinstance(row, grid) or len(row) != len(raw) for row in raw)):
         raise SemigroupError("table must be a non-empty square grid")
+    n = len(raw)
+    if names is not None and (not isinstance(names, grid) or len(names) != n
+                              or not all(isinstance(x, str) for x in names)):
+        raise SemigroupError(f"names must be a list of {n} strings")
+    if one is not None and (not isinstance(one, int) or isinstance(one, bool)):
+        raise SemigroupError(f"declared identity {one!r} is not an element index")
     for i, row in enumerate(raw):
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:

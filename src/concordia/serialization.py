@@ -51,7 +51,7 @@ def semigroup_from_json(data) -> FiniteSemigroup:
     if not isinstance(data, dict) or "table" not in data:
         raise ParseError("semigroup JSON needs a 'table' field")
     table = data["table"]
-    if "order" in data and data["order"] != len(table):
+    if "order" in data and isinstance(table, list) and data["order"] != len(table):
         raise ParseError("declared order does not match the table size")
     return validate_table(table, names=data.get("names"), one=data.get("one"))
 

@@ -30,11 +30,17 @@ def omega_bundle(name):
 
 
 @functools.cache
+def concordant_census(max_order):
+    """The census of concordant semigroups with every witness kept."""
+    return run_search(SearchSpec(max_order=max_order, predicate=("concordant",)),
+                      witness_cap=10**6)
+
+
+@functools.cache
 def concordant_classes(max_order):
     """Every concordant semigroup of order <= max_order up to isomorphism, as
     canonical tables (1, 4, 13, 68, 369 of orders 1..5)."""
-    census = run_search(SearchSpec(max_order=max_order, predicate=("concordant",)),
-                        witness_cap=10**6)
+    census = concordant_census(max_order)
     return tuple(tuple(map(tuple, t)) for n in range(1, max_order + 1)
                  for t in census["orders"][str(n)]["witnesses"])
 

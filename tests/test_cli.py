@@ -49,6 +49,33 @@ def test_analyze_rejects_bad_table(tmp_path, capsys):
     assert code == 1 and "validation error" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze"],
+    ["roundtrip"],
+    ["export", "--what", "eggbox", "--format", "dot"],
+])
+@pytest.mark.parametrize("data", [
+    {"table": 5},
+    {"order": 2, "table": 5},
+    {"table": [5, 6]},
+    {"table": [[0, 0], "01"]},
+    {"table": [[0, 0], [0, 1]], "names": ["a"]},
+    {"table": [[0, 0], [0, 1]], "names": "ab"},
+    {"table": [[0, 0], [0, 1]], "names": ["a", 1]},
+    {"table": [[0, 0], [0, 1]], "one": "1"},
+    {"table": [[0, 0], [0, 1]], "one": True},
+    {"table": [[0, 0], [0, 1]], "one": 1.0},
+])
+def test_malformed_input_exits_1(command, data, tmp_path, capsys):
+    # one error line, never a traceback (TypeError or IndexError before)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(command + ["--input", str(f)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(("validation error: ", "parse error: "))
+    assert err.count("\n") == 1
+
+
 def test_roundtrip_t2(tmp_path, capsys):
     code, stdout, _ = run(["roundtrip", "--preset", "full-transformation:2",
                            "--out", str(tmp_path)], capsys)

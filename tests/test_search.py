@@ -1,15 +1,23 @@
+import json
+from itertools import permutations
+from pathlib import Path
+
 import pytest
 
 from concordia import serialization as ser
 from concordia.search import (
     BudgetExceeded,
     SearchSpec,
+    automorphism_count,
     canonical_form,
     enumerate_tables,
     evaluate_predicates,
     run_search,
 )
 from concordia.semigroups import FiniteSemigroup, validate_table
+from conftest import concordant_census
+
+REFERENCE_CLASSES = Path(__file__).resolve().parent.parent / "bench/reference/classes.json"
 
 
 def test_enumeration_counts():
@@ -78,6 +86,8 @@ def test_unknown_predicate_rejected():
         SearchSpec(2, ("shiny",))
     with pytest.raises(ValueError):
         SearchSpec(9)
+    with pytest.raises(ValueError):
+        SearchSpec(7)
 
 
 def test_budget_exceeded():
@@ -102,3 +112,40 @@ def test_census_facts_order_4():
     assert not_conc["total_matching"] == 1
     assert not_conc["orders"]["4"]["witnesses"] == [
         [[0, 0, 0, 0], [0, 0, 0, 1], [0, 1, 2, 1], [0, 0, 0, 3]]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_orderly_walk_yields_exactly_the_canonical_tables(n):
+    # the reference: label every table, keep those equal to their canonical form
+    reference = [t for t in enumerate_tables(n) if canonical_form(t) == t]
+    assert list(enumerate_tables(n, canonical=True)) == reference
+
+
+def test_automorphism_count_matches_plain_count():
+    # an automorphism is a permutation p with p(ab) = p(a)p(b)
+    for n in range(1, 5):
+        for table in enumerate_tables(n, canonical=True):
+            plain = sum(all(p[table[a][b]] == table[p[a]][p[b]]
+                            for a in range(n) for b in range(n))
+                        for p in permutations(range(n)))
+            assert automorphism_count(table) == plain, table
+
+
+def test_orderly_census_matches_reference_classes():
+    # the classes file was written by the labelled walk plus canonical_form
+    census = concordant_census(5)
+    reference = json.loads(REFERENCE_CLASSES.read_text(encoding="utf-8"))["classes"]
+    assert {n: o["witnesses"] for n, o in census["orders"].items()} == reference
+    # OEIS A027851 (classes) and A023814 (labelled tables)
+    assert [o["candidates"] for o in census["orders"].values()] == [1, 5, 24, 188, 1915]
+    assert ([o["tables_enumerated"] for o in census["orders"].values()]
+            == [1, 8, 113, 3492, 183732])
+
+
+@pytest.mark.slow
+def test_order_6_census():
+    # about 70 s on a 2-core x86-64 host with Python 3.11
+    census = run_search(SearchSpec(6))
+    order6 = census["orders"]["6"]
+    assert order6["candidates"] == 28634
+    assert order6["tables_enumerated"] == 17061118
