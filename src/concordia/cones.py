@@ -285,11 +285,15 @@ def build_cone_semigroup(c: SubobjectCategory, mode: str = EPSILON_STAR_U,
         raise ValueError(f"unknown mode {mode!r}")
 
     # close under composition (expected to be closed already for all modes;
-    # epsilon_star_u keeps witnesses across the closure)
+    # epsilon_star_u keeps witnesses across the closure); the pass that adds
+    # nothing has composed every ordered pair of the final cones, and its
+    # products are the Cayley table
     cones = sorted(cone_set, key=lambda k: (k.vertex, k.components))
     while True:
         new = []
+        products = []
         for g1 in cones:
+            row = []
             for g2 in cones:
                 g = compose_cones(c, g1, g2)
                 if g not in cone_set:
@@ -298,17 +302,18 @@ def build_cone_semigroup(c: SubobjectCategory, mode: str = EPSILON_STAR_U,
                             f"{mode} cone set is not closed under composition")
                     cone_set.add(g)
                     new.append(g)
+                row.append(g)
+            products.append(row)
         if not new:
             break
         if budget is not None and len(cone_set) > budget:
             raise BudgetExceeded("cone closure exceeded budget", partial=cone_set)
         cones = sorted(cone_set, key=lambda k: (k.vertex, k.components))
 
-    cones = tuple(sorted(cone_set, key=lambda k: (k.vertex, k.components)))
+    cones = tuple(cones)
     index = {cone: i for i, cone in enumerate(cones)}
     n = len(cones)
-    table = [[index[compose_cones(c, cones[i], cones[j])] for j in range(n)]
-             for i in range(n)]
+    table = [[index[g] for g in row] for row in products]
     fs = validate_table(table)
 
     witness = {}

@@ -15,6 +15,7 @@ D-morphism) are the left-side ones applied to the other side's data or to
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -315,20 +316,28 @@ class CrossConnection:
     _chi: dict = field(default_factory=dict)
     _transposed: Optional["CrossConnection"] = field(
         default=None, init=False, repr=False, compare=False)
+    _transposed_of: Optional[weakref.ref] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def pair_label(self, cd) -> str:
         return f"({self.C.object_label(cd[0])},{self.D.object_label(cd[1])})"
 
     def transposed(self) -> "CrossConnection":
         """(D, C; Delta, Gamma): the same data with the two categories
-        swapped and every (c, d) key flipped; an involution."""
+        swapped and every (c, d) key flipped; an involution.
+
+        The transpose is memoised here and holds this cross-connection only
+        weakly, so the pair is no reference cycle."""
+        back = self._transposed_of() if self._transposed_of is not None else None
+        if back is not None:
+            return back
         if self._transposed is None:
             t = CrossConnection(
                 self.D, self.C, self.cs_d, self.cs_c, self.dual_d, self.dual_c,
                 self.delta, self.gamma, self.m_delta, self.m_gamma,
                 tuple(sorted((d, c) for c, d in self.e_omega)),
                 _flipped(self.delta_of), _flipped(self.gamma_of))
-            t._transposed = self
+            t._transposed_of = weakref.ref(self)
             self._transposed = t
         return self._transposed
 

@@ -236,11 +236,12 @@ def check_icc_axioms(icc: InductiveCategory) -> AxiomReport:
     # omega coincides with <= on objects, and E_Omega is a regular biordered set
     fs = icc.somega.semigroup
     bo = biorder(fs)
+    omega_pairs = bo.omega_pairs()
     ok = True
     for i in range(icc.n_objects):
         for j in range(icc.n_objects):
             le = (icc.identity[i], icc.identity[j]) in icc.order
-            om = (icc.element[i], icc.element[j]) in bo.omega_pairs()
+            om = (icc.element[i], icc.element[j]) in omega_pairs
             if le != om or le != ((i, j) in icc.obj_leq):
                 ok = False
                 witnesses["order_matches_omega"] = f"objects {i},{j}"
@@ -249,15 +250,20 @@ def check_icc_axioms(icc: InductiveCategory) -> AxiomReport:
     if not bo.regular:
         witnesses["E_regular_biordered"] = "some sandwich set is empty"
 
+    # the order pairs (v, y) by the domains of v and y, in the iteration
+    # order of the order, so the witness is the one a scan of all pairs of
+    # pairs gives
+    by_domains: dict = {}
+    for (v, y) in icc.order:
+        key = (icc.morphisms[v][0], icc.morphisms[y][0])
+        by_domains.setdefault(key, []).append((v, y))
     ok = True
     for (u, x) in icc.order:
-        for (v, y) in icc.order:
-            if icc.morphisms[u][1] == icc.morphisms[v][0] and \
-                    icc.morphisms[x][1] == icc.morphisms[y][0]:
-                if (icc.compose[(u, v)], icc.compose[(x, y)]) not in icc.order:
-                    ok = False
-                    witnesses["OCC2"] = f"{icc.label(u)},{icc.label(v)}"
-                    break
+        for (v, y) in by_domains.get((icc.morphisms[u][1], icc.morphisms[x][1]), ()):
+            if (icc.compose[(u, v)], icc.compose[(x, y)]) not in icc.order:
+                ok = False
+                witnesses["OCC2"] = f"{icc.label(u)},{icc.label(v)}"
+                break
         if not ok:
             break
     axioms["OCC2"] = ok
@@ -273,14 +279,18 @@ def check_icc_axioms(icc: InductiveCategory) -> AxiomReport:
             break
     axioms["OCC3"] = ok
 
+    # below[m]: the m1 <= m, ascending
+    below: dict = {}
+    for (m1, m) in sorted(icc.order):
+        below.setdefault(m, []).append(m1)
     ok = True
     for m in range(len(icc.morphisms)):
         src = icc.morphisms[m][0]
         for e in range(icc.n_objects):
             if (e, src) not in icc.obj_leq:
                 continue
-            cands = [m1 for m1 in range(len(icc.morphisms))
-                     if (m1, m) in icc.order and icc.morphisms[m1][0] == e]
+            cands = [m1 for m1 in below.get(m, ())
+                     if icc.morphisms[m1][0] == e]
             if len(cands) != 1 or cands[0] != icc.restriction[(e, m)]:
                 ok = False
                 witnesses["OCC4"] = f"restriction of {icc.label(m)} to object {e}"
@@ -295,8 +305,8 @@ def check_icc_axioms(icc: InductiveCategory) -> AxiomReport:
         for f in range(icc.n_objects):
             if (f, dst) not in icc.obj_leq:
                 continue
-            cands = [m1 for m1 in range(len(icc.morphisms))
-                     if (m1, m) in icc.order and icc.morphisms[m1][1] == f]
+            cands = [m1 for m1 in below.get(m, ())
+                     if icc.morphisms[m1][1] == f]
             if len(cands) != 1 or cands[0] != icc.corestriction[(m, f)]:
                 ok = False
                 witnesses["OCC5"] = f"corestriction of {icc.label(m)} to object {f}"
@@ -331,7 +341,7 @@ def check_icc_axioms(icc: InductiveCategory) -> AxiomReport:
     fs = icc.somega.semigroup
     for (g, h) in icc.distinguished:
         for e in range(icc.n_objects):
-            if (icc.element[e], icc.element[g]) not in bo.omega_pairs():
+            if (icc.element[e], icc.element[g]) not in omega_pairs:
                 continue
             heh = fs.mul(fs.mul(icc.element[h], icc.element[e]), icc.element[h])
             fobj = [k for k, x in enumerate(icc.element) if x == heh]

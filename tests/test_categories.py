@@ -571,3 +571,162 @@ def test_outgoing_and_cor_ideal_memo(name):
         # memos are not fields of a copy
         copy = dataclasses.replace(c)
         assert copy._outgoing is None and copy._cor == {} and copy._flags == {}
+
+
+# --- CC4 over the seeds of <c0> against the full walk ----------------------
+
+def is_consistent_bimorphism_scan(c, m):
+    """Reference: CC4 scanning a whole hom-set for the image of each g in
+    <c0>, then functoriality over every composable pair of <c0>."""
+    from concordia.categories import ConsistencyExtension, NotBimorphism
+    from concordia.semigroups import NotAbundant
+    flags = morphism_flags(c, m)
+    if not flags.bimorphism:
+        raise NotBimorphism(c.label(m))
+    c0, d0 = c.dom[m], c.cod[m]
+    sub_c = c.subobjects_of(c0)
+    sub_d = set(c.subobjects_of(d0))
+    t_obj = {}
+    xi = {}
+    for a in sub_c:
+        ju = c.compose(c.inclusions[(a, c0)], m)
+        try:
+            comp = epi_component(c, ju)
+        except NotAbundant:
+            return False, None
+        xi[a] = comp
+        t_obj[a] = c.cod[comp]
+    if set(t_obj.values()) != sub_d or len(set(t_obj.values())) != len(sub_c):
+        return False, None
+    mor_c = _cor_ideal_morphisms(c, c0)
+    mor_d = set(_cor_ideal_morphisms(c, d0))
+    t_mor = {}
+    for g in mor_c:
+        a, b = c.dom[g], c.cod[g]
+        want = c.compose(g, xi[b])
+        found = [h for h in c.hom(t_obj[a], t_obj[b])
+                 if h in mor_d and c.compose(xi[a], h) == want]
+        if len(found) != 1:
+            return False, None
+        t_mor[g] = found[0]
+    if len(set(t_mor.values())) != len(mor_c) or set(t_mor.values()) != mor_d:
+        return False, None
+    for g1 in mor_c:
+        for g2 in c.outgoing(c.cod[g1]):
+            if g2 in t_mor and t_mor[c.compose(g1, g2)] != c.compose(t_mor[g1], t_mor[g2]):
+                return False, None
+    for (a, b), j in c.inclusions.items():
+        if a in t_obj and b in t_obj and j in t_mor:
+            if t_mor[j] != c.inclusions[(t_obj[a], t_obj[b])]:
+                return False, None
+    return True, ConsistencyExtension(t_obj, t_mor)
+
+
+def verdict(check, *args):
+    """check's result, or the type and message of what it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_cc4_matches_scan(c):
+    """Both CC4 routes agree at every bimorphism of c; returns how many
+    bimorphisms were compared."""
+    bimorphisms = [m for m in c.morphisms if morphism_flags(c, m).bimorphism]
+    for m in bimorphisms:
+        want = verdict(is_consistent_bimorphism_scan, dataclasses.replace(c), m)
+        assert verdict(is_consistent_bimorphism, dataclasses.replace(c), m) == want, m
+    return len(bimorphisms)
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS)
+def test_cc4_matches_scan_on_presets(name):
+    for side in (LEFT, RIGHT):
+        assert assert_cc4_matches_scan(build_ideal_category(semigroup(name), side)) > 0
+
+
+def test_cc4_matches_scan_up_to_order_4():
+    for table in concordant_classes(4):
+        for c in both_sides(table):
+            assert_cc4_matches_scan(c)
+
+
+@pytest.mark.slow
+def test_cc4_matches_scan_order_5():
+    for table in concordant_classes(5):
+        if len(table) == 5:
+            for c in both_sides(table):
+                assert_cc4_matches_scan(c)
+
+
+def abstract(c):
+    """c without its semigroup, so that a corrupted copy is judged by its
+    compose table alone (the starred cross-check of morphism_flags would
+    reject it first)."""
+    return dataclasses.replace(c, semigroup=None, side=None, object_idem=None,
+                               object_ideal=None, triples=None, triple_index=None)
+
+
+def swapped(c, x, y):
+    """c with the morphisms x and y of one hom-set exchanged throughout its
+    compose table: an isomorphic table, so CC1 may still hold, while the
+    identities and inclusions keep their ids."""
+    f = {x: y, y: x}.get
+    return dataclasses.replace(c, compose_table={
+        (f(m1, m1), f(m2, m2)): f(m3, m3) for (m1, m2), m3 in c.compose_table.items()})
+
+
+@pytest.mark.parametrize("name", ["full-transformation:2", "brandt-b2",
+                                  "semilattice-chain:3"])
+def test_cc4_matches_scan_on_corruptions(name):
+    # CC4 assumes CC1.  Every one-entry corruption of these tables breaks
+    # CC1, and on a flipped entry check_consistent_axioms then skips CC4 (a
+    # dropped entry or wrong endpoints break CC2's compose already).  The
+    # routes are compared on the exchanges of two morphisms that keep CC1.
+    skipped = compared = 0
+    for side in (LEFT, RIGHT):
+        c = abstract(build_ideal_category(semigroup(name), side))
+        for kind, bad in mutations(c):
+            assert outcome(validate_category, dataclasses.replace(bad)) is not None
+            if kind == "flip":
+                rep = check_consistent_axioms(dataclasses.replace(bad))
+                assert not rep.axioms["CC4"]
+                assert rep.witnesses["CC4"] in ("skipped: CC1 failed",
+                                                "skipped: CC3 failed")
+                skipped += 1
+        for hom in c.homs.values():
+            for i, x in enumerate(hom):
+                for y in hom[i + 1:]:
+                    bad = swapped(c, x, y)
+                    if outcome(validate_category, dataclasses.replace(bad)) is None:
+                        compared += assert_cc4_matches_scan(bad)
+    assert skipped > 0 and compared > 0
+
+
+def test_cc4_matches_scan_on_a_category_that_fails_cc4():
+    # abundant, not idempotent-connected (tests/test_semigroups.py): one
+    # bimorphism per side is not consistent
+    w = validate_table([[0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 1, 2, 3, 0],
+                        [3, 3, 3, 3, 3], [0, 0, 0, 0, 4]])
+    for side in (LEFT, RIGHT):
+        c = build_ideal_category(w, side)
+        verdicts = [is_consistent_bimorphism_scan(dataclasses.replace(c), m)[0]
+                    for m in c.morphisms if morphism_flags(c, m).bimorphism]
+        assert verdicts.count(False) == 1
+        assert_cc4_matches_scan(c)
+
+
+def test_cc4_skipped_when_cc1_fails():
+    c = abstract(build_ideal_category(semigroup("full-transformation:2"), LEFT))
+    for kind, bad in mutations(c):
+        if kind != "flip":
+            continue
+        rep = check_consistent_axioms(bad)
+        if not rep.axioms["CC1"] and rep.axioms["CC3"]:
+            break
+    else:
+        raise AssertionError("no mutation fails CC1 alone")
+    assert rep.witnesses["CC1"].startswith("associativity fails")
+    assert not rep.axioms["CC4"]
+    assert rep.witnesses["CC4"] == "skipped: CC1 failed"

@@ -30,7 +30,7 @@ from concordia.semigroups import (
     is_regular,
     validate_table,
 )
-from conftest import SMALL_PRESETS, NONREGULAR_CONCORDANT
+from conftest import SMALL_PRESETS, NONREGULAR_CONCORDANT, concordant_classes
 
 
 def setup(name, side=LEFT):
@@ -303,3 +303,22 @@ def test_is_cone_rejects_bad_component_endpoints():
     # component at object 1 must land at the vertex 0, not at 1
     bad = Cone(0, (c.identities[0], c.identities[1]))
     assert not is_cone(c, bad)
+
+
+def two_pass_table(cs):
+    """Reference: the Cayley table composed again from the final cones."""
+    c, cones = cs.category, cs.cones
+    return tuple(tuple(cs.index[compose_cones(c, g1, g2)] for g2 in cones)
+                 for g1 in cones)
+
+
+def test_cone_table_matches_two_pass_up_to_order_4():
+    # the table is read off the closure's last pass
+    for table in concordant_classes(4):
+        s = validate_table([list(r) for r in table])
+        for side in (LEFT, RIGHT):
+            c = build_ideal_category(s, side)
+            for mode in (PRINCIPAL_ONLY, EPSILON_STAR_U, FULL_ENUMERATION):
+                cs = build_cone_semigroup(c, mode)
+                assert list(cs.cones) == sorted(cs.cones, key=lambda k: (k.vertex, k.components))
+                assert cs.table.table == two_pass_table(cs), (table, side, mode)

@@ -397,6 +397,26 @@ def same_data(a, b, seen=None):
     return ok
 
 
+def test_transpose_holds_its_cross_connection_weakly():
+    # omega and omega.transposed() form no reference cycle: dropping omega
+    # frees it at once, and the transpose then builds its transpose anew
+    import gc
+    import weakref
+    gc.disable()
+    try:
+        omega = build_omega_s(semigroup("brandt-b2"))
+        t = omega.transposed()
+        assert t.transposed() is omega
+        ref = weakref.ref(omega)
+        del omega
+        assert ref() is None
+        again = t.transposed()
+        assert again.C is t.D and again.transposed() is t
+        assert again.e_omega == tuple(sorted((d, c) for c, d in t.e_omega))
+    finally:
+        gc.enable()
+
+
 def assert_op_is_transpose(s, mode):
     omega = build_omega_s(s, mode)
     t = omega.transposed()

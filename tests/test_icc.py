@@ -176,3 +176,57 @@ def test_order_checks_match_scan_on_mutations(name):
         assert rep.witnesses.get("order") == witness
         failed += not ok
     assert failed > 0
+
+
+def occ_scan(icc):
+    """Reference: OCC2 over every pair of order pairs, and OCC4/OCC5
+    scanning every morphism for each (m, e); name -> (ok, witness)."""
+    out = {}
+    ok, witness = True, None
+    for (u, x) in icc.order:
+        for (v, y) in icc.order:
+            if icc.morphisms[u][1] == icc.morphisms[v][0] and \
+                    icc.morphisms[x][1] == icc.morphisms[y][0]:
+                if (icc.compose[(u, v)], icc.compose[(x, y)]) not in icc.order:
+                    ok, witness = False, f"{icc.label(u)},{icc.label(v)}"
+                    break
+        if not ok:
+            break
+    out["OCC2"] = (ok, witness)
+    for name, end, table, what in (("OCC4", 0, icc.restriction, "restriction"),
+                                   ("OCC5", 1, icc.corestriction, "corestriction")):
+        ok, witness = True, None
+        for m in range(len(icc.morphisms)):
+            for e in range(icc.n_objects):
+                if (e, icc.morphisms[m][end]) not in icc.obj_leq:
+                    continue
+                cands = [m1 for m1 in range(len(icc.morphisms))
+                         if (m1, m) in icc.order and icc.morphisms[m1][end] == e]
+                key = (e, m) if end == 0 else (m, e)
+                if len(cands) != 1 or cands[0] != table[key]:
+                    ok, witness = False, f"{what} of {icc.label(m)} to object {e}"
+                    break
+            if not ok:
+                break
+        out[name] = (ok, witness)
+    return out
+
+
+def test_occ_checks_match_scan_on_mutations():
+    # one order pair dropped or reversed: the grouped loops of
+    # check_icc_axioms report what the scans report
+    failed = set()
+    for name in ("semilattice-chain:3", "brandt-b2", "full-transformation:2"):
+        _, _, _, icc = icc_bundle(name)
+        pairs = sorted(icc.order)
+        orders = [icc.order - {p} for p in pairs if p[0] != p[1]]
+        orders += [icc.order | {(b, a)} for (a, b) in pairs if a != b]
+        for order in [icc.order] + orders:
+            bad = dataclasses.replace(icc, order=order)
+            rep = check_icc_axioms(bad)
+            for axiom, (ok, witness) in occ_scan(bad).items():
+                assert rep.axioms[axiom] == ok
+                assert rep.witnesses.get(axiom) == witness
+                if not ok:
+                    failed.add(axiom)
+    assert failed == {"OCC2", "OCC4", "OCC5"}

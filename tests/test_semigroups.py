@@ -84,7 +84,7 @@ def test_validate_rejects_non_square():
 
 
 def test_validate_large_table_lights_test():
-    # order 80 > 64 takes the generating-set route (Light's test)
+    # Light's test over a generating set, on a table of order 80
     big = direct_product(direct_product(semigroup("full-transformation:2"),
                                         semigroup("full-transformation:2")),
                          semigroup("brandt-b2"))
@@ -94,6 +94,50 @@ def test_validate_large_table_lights_test():
     corrupted[17][3] = (corrupted[17][3] + 1) % 80
     with pytest.raises(AssociativityViolation):
         validate_table(corrupted)
+    # the witness is the full scan's: the first failing triple
+    assert validation_outcome(validate_table, corrupted) \
+        == validation_outcome(validate_table_scan, corrupted)
+
+
+def validate_table_scan(raw):
+    """Reference: closure, then associativity over every triple in order."""
+    n = len(raw)
+    for i, row in enumerate(raw):
+        for j, v in enumerate(row):
+            if not 0 <= v < n:
+                raise ClosureViolation(i, j, v)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if raw[raw[i][j]][k] != raw[i][raw[j][k]]:
+                    raise AssociativityViolation(i, j, k)
+
+
+def validation_outcome(check, raw):
+    try:
+        check(raw)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_table_matches_scan_on_corruptions_up_to_order_3():
+    from concordia.search import enumerate_tables
+    failures = 0
+    for n in (1, 2, 3):
+        for table in enumerate_tables(n, canonical=True):
+            assert validation_outcome(validate_table, table) is None
+            for i in range(n):
+                for j in range(n):
+                    for v in range(-1, n + 1):
+                        if v == table[i][j]:
+                            continue
+                        bad = [list(r) for r in table]
+                        bad[i][j] = v
+                        want = validation_outcome(validate_table_scan, bad)
+                        assert validation_outcome(validate_table, bad) == want, bad
+                        failures += want is not None
+    assert failures > 0
 
 
 def test_starred_oracle_exhaustive_order_4_canonical():
@@ -439,3 +483,21 @@ def test_semigroup_owns_its_derived_data():
     del s
     gc.collect()
     assert ref() is None
+
+
+def test_opposite_holds_its_semigroup_weakly():
+    # s and s.op() form no reference cycle: dropping s frees it at once,
+    # without the cyclic collector, and s.op() then builds its opposite anew
+    table = [list(r) for r in semigroup("full-transformation:2").table]
+    gc.disable()
+    try:
+        s = validate_table(table)
+        op = s.op()
+        assert op.op() is s
+        ref = weakref.ref(s)
+        del s
+        assert ref() is None
+        again = op.op()
+        assert again.table == tuple(map(tuple, table)) and again.op() is op
+    finally:
+        gc.enable()
