@@ -1,14 +1,18 @@
 """JSON and DOT serialisation for every artifact type.
 
-All JSON is emitted with sorted keys and 2-space indent so reruns are
-byte-identical.  Category JSON lists each object's strict superiors under
-"leq"; the reflexive pairs are implied.
+All JSON is emitted by `dumps`: sorted keys, the document and the elements
+of its members on lines of their own with 2-space indent, and everything
+deeper on one line, so reruns are byte-identical.  Category JSON
+(schema "concordia.category/2") lists each object's strict superiors under
+"leq", with the reflexive pairs implied, and composition as one row per
+morphism m1, aligned with `outgoing(cod m1)`.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 
-from .categories import SubobjectCategory, from_parts
+from .categories import CategoryError, SubobjectCategory, from_parts
 from .cones import Cone, ConeSemigroup
 from .semigroups import (
     EqRelation,
@@ -33,8 +37,30 @@ class ParseError(SemigroupError):
     pass
 
 
+CATEGORY_SCHEMA = "concordia.category/2"
+
+_encode = json.JSONEncoder(sort_keys=True).encode  # one line, C-speed
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """obj as JSON with sorted keys: the document and the elements of its
+    members are indented by 2 spaces a level, and each value below that is
+    written on one line by the C encoder."""
+    return _dumps(obj, 2, "") + "\n"
+
+
+def _dumps(obj, levels: int, indent: str) -> str:
+    if levels and isinstance(obj, dict) and obj:
+        inner = indent + "  "
+        # a key that is not a string is written as json.dumps writes it
+        lines = [f"{inner}{_encode(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{_dumps(v, levels - 1, inner)}" for k, v in sorted(obj.items())]
+        return "{\n" + ",\n".join(lines) + f"\n{indent}}}"
+    if levels and isinstance(obj, (list, tuple)) and obj:
+        inner = indent + "  "
+        lines = [inner + _dumps(v, levels - 1, inner) for v in obj]
+        return "[\n" + ",\n".join(lines) + f"\n{indent}]"
+    return _encode(obj)
 
 
 def semigroup_to_json(s: FiniteSemigroup) -> dict:
@@ -57,26 +83,82 @@ def semigroup_from_json(data) -> FiniteSemigroup:
 
 
 def category_to_json(c: SubobjectCategory) -> dict:
+    """The category as schema "concordia.category/2"; `compose[m1]` lists
+    m1's composites with `c.outgoing(c.cod[m1])`, in that order."""
     objects = [{"id": a,
                 "leq": sorted(b for b in c.objects if b != a and (a, b) in c.leq)}
                for a in c.objects]
     morphisms = [{"id": m, "dom": c.dom[m], "cod": c.cod[m],
                   "inclusion": c.is_inclusion(m), "label": c.label(m)}
                  for m in c.morphisms]
-    compose = sorted([m1, m2, m3] for (m1, m2), m3 in c.compose_table.items())
-    return {"objects": objects, "morphisms": morphisms, "compose": compose}
+    compose = [[c.compose(m1, m2) for m2 in c.outgoing(c.cod[m1])]
+               for m1 in c.morphisms]
+    return {"schema": CATEGORY_SCHEMA, "objects": objects,
+            "morphisms": morphisms, "compose": compose}
 
 
 def category_from_json(data) -> SubobjectCategory:
+    """The category written by `category_to_json`, without its semigroup.
+
+    Strict: the schema must be CATEGORY_SCHEMA, objects and morphisms are
+    listed by id from 0, every id is an int in range, and each compose row
+    has one entry per morphism out of the codomain of its m1.  Anything
+    else, and parts that `from_parts` rejects, is a ParseError."""
+    if not isinstance(data, dict) or data.get("schema") != CATEGORY_SCHEMA:
+        raise ParseError(f"category JSON needs \"schema\": \"{CATEGORY_SCHEMA}\"")
+    objects = _entries(data, "objects")
+    morphisms = _entries(data, "morphisms")
+    rows = _field(data, "compose", list, "category")
+    n, n_mor = len(objects), len(morphisms)
+    leq = []
+    for a, o in enumerate(objects):
+        superiors = _field(o, "leq", list, f"object {a}", default=[])
+        leq += [(a, _id(b, n, f"object {a} leq")) for b in superiors]
+    parts = [(_id(m.get("dom"), n, f"morphism {i} dom"),
+              _id(m.get("cod"), n, f"morphism {i} cod"),
+              _field(m, "inclusion", bool, f"morphism {i}", default=False))
+             for i, m in enumerate(morphisms)]
+    if len(rows) != n_mor:
+        raise ParseError(f"compose has {len(rows)} rows for {n_mor} morphisms")
+    outgoing: dict = {}
+    for m, (d, _, _) in enumerate(parts):
+        outgoing.setdefault(d, []).append(m)
+    triples = []
+    for m1, row in enumerate(rows):
+        out = outgoing.get(parts[m1][1], ())
+        if not isinstance(row, list) or len(row) != len(out):
+            raise ParseError(f"compose row {m1} must list {len(out)} composites")
+        triples += [(m1, m2, _id(m3, n_mor, f"compose row {m1}"))
+                    for m2, m3 in zip(out, row)]
     try:
-        n = len(data["objects"])
-        leq = [(o["id"], b) for o in data["objects"] for b in o.get("leq", ())]
-        morphisms = [(m["dom"], m["cod"], m.get("inclusion", False))
-                     for m in sorted(data["morphisms"], key=lambda m: m["id"])]
-        compose = [tuple(t) for t in data["compose"]]
-    except (KeyError, TypeError) as exc:
+        return from_parts(n, leq, parts, triples)
+    except CategoryError as exc:
         raise ParseError(f"bad category JSON: {exc}") from exc
-    return from_parts(n, leq, morphisms, compose)
+
+
+def _field(data: dict, name, kind, where, default=None):
+    """data[name], which must be a `kind`."""
+    value = data.get(name, default)
+    if not isinstance(value, kind):
+        raise ParseError(f"{where} needs {name!r} as a {kind.__name__}")
+    return value
+
+
+def _entries(data: dict, name) -> list:
+    """data[name], a list of objects whose ids are 0, 1, ... in order."""
+    entries = _field(data, name, list, "category")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or type(entry.get("id")) is not int \
+                or entry["id"] != i:
+            raise ParseError(f"{name} entry {i} must be an object with id {i}")
+    return entries
+
+
+def _id(value, n: int, where: str) -> int:
+    """value as an id below n."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < n:
+        raise ParseError(f"{where}: {value!r} is not an id below {n}")
+    return value
 
 
 def cone_to_json(cone: Cone) -> dict:
@@ -227,10 +309,18 @@ def eggbox_to_dot(s: FiniteSemigroup) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _category_ref(c: SubobjectCategory, file: str) -> dict:
+    """A pointer to the category file `file`, with the sha256 of its text."""
+    text = dumps(category_to_json(c))
+    return {"file": file, "sha256": hashlib.sha256(text.encode("ascii")).hexdigest()}
+
+
 def omega_to_json(omega) -> dict:
+    """The cross-connection; its categories are referred to by file and
+    digest, as `concordia roundtrip` writes them to lcat.json and rcat.json."""
     return {
-        "left_category": category_to_json(omega.C),
-        "right_category": category_to_json(omega.D),
+        "left_category": _category_ref(omega.C, "lcat.json"),
+        "right_category": _category_ref(omega.D, "rcat.json"),
         "gamma": {"objects": {str(k): v for k, v in sorted(omega.gamma.objects.items())},
                   "morphisms": {str(k): v for k, v in sorted(omega.gamma.morphisms.items())}},
         "delta": {"objects": {str(k): v for k, v in sorted(omega.delta.objects.items())},

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -730,3 +731,67 @@ def test_cc4_skipped_when_cc1_fails():
     assert rep.witnesses["CC1"].startswith("associativity fails")
     assert not rep.axioms["CC4"]
     assert rep.witnesses["CC4"] == "skipped: CC1 failed"
+
+
+def test_cc_report_when_a_composite_is_missing():
+    # a category read without its semigroup may lack a composite: the report
+    # fails CC1, and an axiom whose check needs the composite fails with the
+    # same message instead of raising MorphismNotInCategory
+    c = lcat("full-transformation:2")
+    parts = [(c.dom[m], c.cod[m], c.is_inclusion(m)) for m in c.morphisms]
+    leq = [p for p in c.leq if p[0] != p[1]]
+    triples = sorted((m1, m2, m3) for (m1, m2), m3 in c.compose_table.items())
+    reports = 0
+    for k in range(len(triples)):
+        try:
+            bad = from_parts(c.n_objects, leq, parts, triples[:k] + triples[k + 1:])
+        except CategoryError:
+            continue  # the dropped entry was an identity law
+        rep = check_consistent_axioms(bad)
+        assert not rep.axioms["CC1"]
+        assert all(rep.witnesses[name] for name, ok in rep.axioms.items() if not ok)
+        assert len(rep.lines()) == 6
+        reports += 1
+    assert reports == 22
+
+
+def stirling2(n, k):
+    """The number of partitions of an n-set into k blocks."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def full_transformation_closed_forms(n):
+    """((objects, morphisms) of L(T_n), of R(T_n)): L(T_n) has the partitions
+    of n as objects, with |hom(p, q)| = |p|^|q| in blocks; R(T_n) has the
+    non-empty subsets, with |hom(A, B)| = |B|^|A|."""
+    blocks = [(k, stirling2(n, k)) for k in range(1, n + 1)]
+    sizes = [(k, math.comb(n, k)) for k in range(1, n + 1)]
+    left = (sum(c for _, c in blocks),
+            sum(cp * cq * p ** q for p, cp in blocks for q, cq in blocks))
+    right = (sum(c for _, c in sizes),
+             sum(ca * cb * b ** a for a, ca in sizes for b, cb in sizes))
+    return left, right
+
+
+def assert_full_transformation_counts(n, left, right):
+    s = presets.preset(f"full-transformation:{n}")
+    for side, counts in ((LEFT, left), (RIGHT, right)):
+        c = build_ideal_category(s, side)
+        assert (c.n_objects, c.n_morphisms) == counts, side
+    assert full_transformation_closed_forms(n) == (left, right)
+
+
+@pytest.mark.parametrize("n, left, right", [(2, (2, 8), (3, 14)),
+                                            (3, (5, 128), (7, 162))])
+def test_full_transformation_closed_forms(n, left, right):
+    assert_full_transformation_counts(n, left, right)
+
+
+@pytest.mark.slow
+def test_full_transformation_closed_forms_t4():
+    # Bell(4) = 15 partitions and 2^4 - 1 = 15 non-empty subsets
+    assert_full_transformation_counts(4, (15, 3283), (15, 2184))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -86,6 +87,12 @@ def test_roundtrip_t2(tmp_path, capsys):
     somega = json.loads((tmp_path / "somega.json").read_text())
     assert somega["semigroup"]["order"] == 4
     assert "all certificates pass" in (tmp_path / "report.txt").read_text()
+    # omega.json refers to the category files by the sha256 of their bytes
+    omega = json.loads((tmp_path / "omega.json").read_text())
+    for key, name in (("left_category", "lcat.json"), ("right_category", "rcat.json")):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert omega[key] == {"file": name, "sha256": digest}
+        ser.category_from_json(json.loads((tmp_path / name).read_text()))
 
 
 def test_roundtrip_cyclic3(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,7 +7,7 @@ from concordia import presets, serialization as ser
 from concordia.categories import build_ideal_category, validate_category
 from concordia.crossconn import build_omega_s, build_s_omega
 from concordia.icc import build_icc
-from concordia.semigroups import LEFT, identity_of, validate_table
+from concordia.semigroups import LEFT, RIGHT, identity_of, validate_table
 from conftest import SMALL_PRESETS, omega_bundle, semigroup
 
 
@@ -51,6 +52,73 @@ def test_category_parse_error():
         ser.category_from_json({"objects": [{"id": 0}]})
 
 
+def test_category_json_v2_rows():
+    # compose[m1] lists m1's composites with outgoing(cod m1), in that order
+    c = build_ideal_category(presets.preset("brandt-b2"), LEFT)
+    data = ser.category_to_json(c)
+    assert data["schema"] == "concordia.category/2"
+    assert len(data["compose"]) == c.n_morphisms
+    assert sum(map(len, data["compose"])) == len(c.compose_table)
+    for m1, row in enumerate(data["compose"]):
+        assert row == [c.compose_table[(m1, m2)] for m2 in c.outgoing(c.cod[m1])]
+
+
+def test_category_reader_rejects_v1():
+    c = build_ideal_category(presets.preset("semilattice-chain:2"), LEFT)
+    data = ser.category_to_json(c)
+    data["compose"] = sorted([m1, m2, m3] for (m1, m2), m3 in c.compose_table.items())
+    with pytest.raises(ser.ParseError, match="rows"):
+        ser.category_from_json(data)
+    del data["schema"]
+    with pytest.raises(ser.ParseError, match="schema"):
+        ser.category_from_json(data)
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS)
+def test_category_text_is_a_fixed_point_without_semigroup(name):
+    # a category read back has no semigroup; its text then reads and writes
+    # back to the same bytes
+    for side in (LEFT, RIGHT):
+        c = build_ideal_category(presets.preset(name), side)
+        text = ser.dumps(ser.category_to_json(
+            ser.category_from_json(json.loads(ser.dumps(ser.category_to_json(c))))))
+        back = ser.category_from_json(json.loads(text))
+        assert back.semigroup is None
+        assert ser.dumps(ser.category_to_json(back)) == text
+
+
+def test_dumps_indents_the_top_two_levels():
+    doc = {"b": [[1, 2], {"y": 1, "x": [3]}], "a": {"k": {"z": 0}, "j": []},
+           "c": 5, "d": [], "e": {}}
+    assert ser.dumps(doc) == (
+        '{\n'
+        '  "a": {\n'
+        '    "j": [],\n'
+        '    "k": {"z": 0}\n'
+        '  },\n'
+        '  "b": [\n'
+        '    [1, 2],\n'
+        '    {"x": [3], "y": 1}\n'
+        '  ],\n'
+        '  "c": 5,\n'
+        '  "d": [],\n'
+        '  "e": {}\n'
+        '}\n')
+    assert ser.dumps([]) == "[]\n" and ser.dumps(3) == "3\n"
+
+
+@pytest.mark.parametrize("name", ["brandt-b2", "full-transformation:2"])
+def test_dumps_reads_back_as_json_dumps(name):
+    s, omega, somega = omega_bundle(name)
+    for doc in (ser.analysis_to_json(s), ser.eggbox_to_json(s),
+                ser.category_to_json(omega.C), ser.omega_to_json(omega),
+                ser.somega_to_json(somega), ser.icc_to_json(build_icc(omega, somega)),
+                {1: [True, None], 0: {2.5: "\u00e9"}}):
+        text = ser.dumps(doc)
+        assert text.isascii()
+        assert json.loads(text) == json.loads(json.dumps(doc, sort_keys=True))
+
+
 def test_analysis_json_fields():
     data = ser.analysis_to_json(presets.upper_triangular_f2())
     assert data["abundant"] is True
@@ -88,6 +156,12 @@ def test_omega_and_somega_json():
     s, omega, somega = omega_bundle("semilattice-chain:2")
     data = json.loads(ser.dumps(ser.omega_to_json(omega)))
     assert data["e_omega"] == [[0, 0], [1, 1]]
+    # the categories by file and the sha256 of the text written there
+    for key, file, c in (("left_category", "lcat.json", omega.C),
+                         ("right_category", "rcat.json", omega.D)):
+        text = ser.dumps(ser.category_to_json(c))
+        assert data[key] == {"file": file,
+                             "sha256": hashlib.sha256(text.encode()).hexdigest()}
     sdata = json.loads(ser.dumps(ser.somega_to_json(somega)))
     assert len(sdata["linked_pairs"]) == 2
     assert sdata["semigroup"]["table"] == [[0, 0], [0, 1]]
