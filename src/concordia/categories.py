@@ -82,13 +82,14 @@ class SubobjectCategory:
     dom: tuple
     cod: tuple
     homs: dict  # (a, b) -> tuple of morphism ids
-    compose_table: dict  # (m1, m2) -> m, for cod(m1) == dom(m2)
+    # rows[m1]: the composites m1 m2 for m2 in outgoing(cod m1), in that
+    # order, as a tuple; the one stored form of composition
+    rows: tuple
     identities: tuple
     inclusions: dict  # (a, b) in leq -> morphism id
     semigroup: Optional[FiniteSemigroup] = None
     side: Optional[str] = None
     object_idem: Optional[tuple] = None  # canonical idempotent per object
-    object_ideal: Optional[tuple] = None  # the set S^1 e per object
     triples: Optional[tuple] = None  # per morphism id: (e, u, f) over the base
     triple_index: Optional[dict] = None  # (a, b, u) -> morphism id
     # memos, derived from the fields above; init=False keeps
@@ -97,6 +98,7 @@ class SubobjectCategory:
     _epi: dict = field(default_factory=dict, init=False, repr=False)
     _nf: dict = field(default_factory=dict, init=False, repr=False)
     _outgoing: Optional[dict] = field(default=None, init=False, repr=False)
+    _pos: Optional[tuple] = field(default=None, init=False, repr=False)
     _incoming: Optional[dict] = field(default=None, init=False, repr=False)
     _generators: Optional[tuple] = field(default=None, init=False, repr=False)
     _cor: dict = field(default_factory=dict, init=False, repr=False)
@@ -120,10 +122,21 @@ class SubobjectCategory:
         """The morphism ids with domain a, in increasing order."""
         if self._outgoing is None:
             out: dict = {}
+            pos = []
             for m, d in enumerate(self.dom):
-                out.setdefault(d, []).append(m)
+                ms = out.setdefault(d, [])
+                pos.append(len(ms))
+                ms.append(m)
             self._outgoing = {d: tuple(ms) for d, ms in out.items()}
+            self._pos = tuple(pos)
         return self._outgoing.get(a, ())
+
+    @property
+    def pos(self) -> tuple:
+        """pos[m]: the index of m in outgoing(dom m); m1 m2 is rows[m1][pos[m2]]."""
+        if self._pos is None:
+            self.outgoing(0)
+        return self._pos
 
     def incoming(self, b: int) -> tuple:
         """The morphism ids with codomain b, in increasing order."""
@@ -160,11 +173,19 @@ class SubobjectCategory:
         return self._generators
 
     def compose(self, m1: int, m2: int) -> int:
+        pos = self._pos or self.pos
         try:
-            return self.compose_table[(m1, m2)]
-        except KeyError:
-            raise MorphismNotInCategory(
-                f"morphisms {m1} and {m2} are not composable") from None
+            if m1 >= 0 and m2 >= 0 and self.cod[m1] == self.dom[m2]:
+                return self.rows[m1][pos[m2]]
+        except IndexError:
+            pass
+        raise MorphismNotInCategory(f"morphisms {m1} and {m2} are not composable")
+
+    @property
+    def compose_table(self) -> dict:
+        """(m1, m2) -> m1 m2, built from the rows on each access."""
+        return {(m1, m2): m3 for m1, row in enumerate(self.rows)
+                for m2, m3 in zip(self.outgoing(self.cod[m1]), row)}
 
     def compose_many(self, *ms: int) -> int:
         out = ms[0]
@@ -217,8 +238,6 @@ def build_ideal_category(s: FiniteSemigroup, side: str = LEFT) -> SubobjectCateg
 
     leq = frozenset((a, b) for a in range(n_obj) for b in range(n_obj)
                     if mul(reps[a], reps[b]) == reps[a])
-    ideals = tuple(frozenset({reps[a]} | {mul(x, reps[a]) for x in base.elements})
-                   for a in range(n_obj))
 
     dom, cod, triples = [], [], []
     homs: dict = {}
@@ -238,22 +257,20 @@ def build_ideal_category(s: FiniteSemigroup, side: str = LEFT) -> SubobjectCateg
                 ids.append(m)
             homs[(a, b)] = tuple(ids)
 
-    compose_table = {}
+    rows = []
     for m1 in range(len(dom)):
         a, b = dom[m1], cod[m1]
         u = triples[m1][1]
-        for c in range(n_obj):
-            for m2 in homs[(b, c)]:
-                v = triples[m2][1]
-                compose_table[(m1, m2)] = triple_index[(a, c, mul(u, v))]
+        rows.append(tuple(triple_index[(a, c, mul(u, triples[m2][1]))]
+                          for c in range(n_obj) for m2 in homs[(b, c)]))
 
     identities = tuple(triple_index[(a, a, reps[a])] for a in range(n_obj))
     inclusions = {(a, b): triple_index[(a, b, reps[a])] for (a, b) in leq}
 
     return SubobjectCategory(
         n_objects=n_obj, leq=leq, dom=tuple(dom), cod=tuple(cod), homs=homs,
-        compose_table=compose_table, identities=identities, inclusions=inclusions,
-        semigroup=base, side=side, object_idem=tuple(reps), object_ideal=ideals,
+        rows=tuple(rows), identities=identities, inclusions=inclusions,
+        semigroup=base, side=side, object_idem=tuple(reps),
         triples=tuple(triples), triple_index=triple_index)
 
 
@@ -292,26 +309,35 @@ def object_of_idempotent(c: SubobjectCategory, e: int) -> int:
     return a
 
 
-def from_parts(n_objects, leq_pairs, morphisms, compose_triples) -> SubobjectCategory:
+def from_parts(n_objects, leq_pairs, morphisms, rows) -> SubobjectCategory:
     """Assemble an abstract category from JSON-style parts.
 
-    morphisms: list of (dom, cod, inclusion_flag); compose_triples: list of
-    (m1, m2, m3).  Identities are derived, inclusion uniqueness enforced.
+    morphisms: list of (dom, cod, inclusion_flag); rows as the field of
+    that name, a row of the wrong length refused.  Identities are derived,
+    inclusion uniqueness enforced.
     """
     leq = frozenset(tuple(p) for p in leq_pairs) | frozenset((a, a) for a in range(n_objects))
     dom = tuple(m[0] for m in morphisms)
     cod = tuple(m[1] for m in morphisms)
-    compose_table = {(m1, m2): m3 for m1, m2, m3 in compose_triples}
     homs: dict = {}
     for m in range(len(dom)):
         homs.setdefault((dom[m], cod[m]), []).append(m)
     homs = {k: tuple(v) for k, v in homs.items()}
+    c = SubobjectCategory(
+        n_objects=n_objects, leq=leq, dom=dom, cod=cod, homs=homs,
+        rows=tuple(map(tuple, rows)), identities=(), inclusions={})
+    if len(c.rows) != len(dom):
+        raise CategoryError(f"compose has {len(c.rows)} rows for {len(dom)} morphisms")
+    for m1, row in enumerate(c.rows):
+        if len(row) != len(c.outgoing(cod[m1])):
+            raise CategoryError(f"compose rows: row {m1} must list "
+                                f"{len(c.outgoing(cod[m1]))} composites")
 
     identities = []
     for a in range(n_objects):
-        cands = [m for m in homs.get((a, a), ())
-                 if all(compose_table.get((m, x)) == x for x in range(len(dom)) if dom[x] == a)
-                 and all(compose_table.get((x, m)) == x for x in range(len(dom)) if cod[x] == a)]
+        cands = [i for i in homs.get((a, a), ())
+                 if c.rows[i] == c.outgoing(a)
+                 and all(c.rows[x][c.pos[i]] == x for x in c.incoming(a))]
         if len(cands) != 1:
             raise CategoryError(f"object {a} must have exactly one identity, found {cands}")
         identities.append(cands[0])
@@ -331,11 +357,8 @@ def from_parts(n_objects, leq_pairs, morphisms, compose_triples) -> SubobjectCat
     for key in inclusions:
         if key not in leq:
             raise CategoryError(f"inclusion on incomparable pair {key}")
-
-    return SubobjectCategory(
-        n_objects=n_objects, leq=leq, dom=dom, cod=cod, homs=homs,
-        compose_table=compose_table, identities=tuple(identities),
-        inclusions=inclusions)
+    c.identities, c.inclusions = tuple(identities), inclusions
+    return c
 
 
 def validate_category(c: SubobjectCategory) -> None:
@@ -351,22 +374,19 @@ def validate_category(c: SubobjectCategory) -> None:
     every morphism is a composite of generators under some bracketing, and
     T holds every morphism.  On L(T3 x C2) that is 91 middle factors of 640.
 
-    `generators()` composes through the table, so the test runs after the
-    endpoint check and a check that every composable pair has a composite.
-    When either of those or Light's test fails, the composable triples
+    `generators()` composes through the rows, so the test runs after the
+    endpoint check; every row is complete and aligned, so every composable
+    pair has a composite.  When Light's test fails, the composable triples
     m1 -> m2 -> m3 are walked in the lexicographic order of an all-triples
     scan, so the first witness is the one that scan would report.
     """
     dom, cod = c.dom, c.cod
-    rows: dict = {}  # m1 -> {m2: m1 . m2}, the compose table by rows
-    for (m1, m2), m3 in c.compose_table.items():
-        if cod[m1] != dom[m2]:
-            raise CategoryError(f"composite of non-composable pair ({m1},{m2})")
-        if dom[m3] != dom[m1] or cod[m3] != cod[m2]:
-            raise CategoryError(f"compose({m1},{m2}) has wrong endpoints")
-        rows.setdefault(m1, {})[m2] = m3
-    if not (_every_composite_present(c, rows) and _light_associative(c, rows)):
-        _walk_composable_triples(c, rows)
+    for m1, row in enumerate(c.rows):
+        for m2, m3 in zip(c.outgoing(cod[m1]), row):
+            if dom[m3] != dom[m1] or cod[m3] != cod[m2]:
+                raise CategoryError(f"compose({m1},{m2}) has wrong endpoints")
+    if not _light_associative(c):
+        _walk_composable_triples(c)
         raise AssertionError("Light's test failed but the triple walk passed")
     for a in c.objects:
         i = c.identities[a]
@@ -406,60 +426,35 @@ def validate_category(c: SubobjectCategory) -> None:
                         f"left division fails: {c.label(h)} divides inclusions but is not one")
 
 
-def _every_composite_present(c: SubobjectCategory, rows: dict) -> bool:
-    """Whether rows[m1] holds every m2 out of cod m1."""
-    for m1 in c.morphisms:
-        row1 = rows.get(m1, {})
-        if not all(m2 in row1 for m2 in c.outgoing(c.cod[m1])):
-            return False
-    return True
-
-
-def _light_associative(c: SubobjectCategory, rows: dict) -> bool:
+def _light_associative(c: SubobjectCategory) -> bool:
     """(m1 g) m3 == m1 (g m3) for every generator g, m1 into dom g and m3
-    out of cod g, one whole row of m3 at a time; needs a complete table."""
+    out of cod g, one whole row of m3 at a time: the row of m1 g against
+    the row of m1 read at the positions of the g m3."""
+    rows, pos = c.rows, c.pos
     for g in c.generators():
-        out3 = c.outgoing(c.cod[g])
-        g_row = list(map(rows.get(g, {}).__getitem__, out3))  # g m3, every m3
+        at = [pos[gm3] for gm3 in rows[g]]  # where m1 (g m3) sits in row m1
+        pg = pos[g]
         for m1 in c.incoming(c.dom[g]):
             row1 = rows[m1]
-            if (list(map(rows.get(row1[g], {}).__getitem__, out3))
-                    != list(map(row1.__getitem__, g_row))):
+            if rows[row1[pg]] != tuple(map(row1.__getitem__, at)):
                 return False
     return True
 
 
-def _walk_composable_triples(c: SubobjectCategory, rows: dict) -> None:
-    """Raise the first missing composite or associativity failure over the
-    composable triples m1 -> m2 -> m3, in the order of an all-triples scan."""
+def _walk_composable_triples(c: SubobjectCategory) -> None:
+    """Raise the first associativity failure over the composable triples
+    m1 -> m2 -> m3, in the order of an all-triples scan."""
+    rows, pos = c.rows, c.pos
     for m1 in c.morphisms:
-        row1 = rows.get(m1, {})
-        for m2 in c.outgoing(c.cod[m1]):
-            if m2 not in row1:
-                raise CategoryError(f"missing composite ({m1},{m2})")
+        row1 = rows[m1]
+        for m2, m12 in zip(c.outgoing(c.cod[m1]), row1):
             # (m1 m2) m3 against m1 (m2 m3) for every m3 at once
-            out3 = c.outgoing(c.cod[m2])
-            row12, row2 = rows.get(row1[m2], {}), rows.get(m2, {})
-            try:
-                if (list(map(row12.__getitem__, out3))
-                        == list(map(row1.__getitem__, map(row2.__getitem__, out3)))):
-                    continue
-            except KeyError:
-                pass
-            raise _associativity_witness(c, m1, m2, out3)
-
-
-def _associativity_witness(c: SubobjectCategory, m1: int, m2: int,
-                           out3: tuple) -> CategoryError:
-    """The first failure among the triples (m1, m2, m3), m3 in out3: a
-    missing composite or the first m3 where associativity fails."""
-    try:
-        for m3 in out3:
-            if c.compose(c.compose(m1, m2), m3) != c.compose(m1, c.compose(m2, m3)):
-                return CategoryError(f"associativity fails at ({m1},{m2},{m3})")
-    except MorphismNotInCategory as exc:
-        return exc
-    raise AssertionError(f"no associativity failure at ({m1},{m2})")
+            row12, row2 = rows[m12], rows[m2]
+            if row12 == tuple(row1[pos[m23]] for m23 in row2):
+                continue
+            for m3, m123, m23 in zip(c.outgoing(c.cod[m2]), row12, row2):
+                if m123 != row1[pos[m23]]:
+                    raise CategoryError(f"associativity fails at ({m1},{m2},{m3})")
 
 
 def _literal_mono(c: SubobjectCategory, m: int) -> bool:
@@ -803,9 +798,10 @@ def check_consistent_axioms(c: SubobjectCategory, cones=None) -> AxiomReport:
     CC6 needs idempotent cones: they are enumerated (via the cone module) when
     the category is within the budget of `idempotent_cones_by_vertex`, taken
     from the principal cones when the category comes from a semigroup, or
-    supplied by the caller.  A missing composite fails CC1; an axiom whose
-    check then needs that composite fails with the `MorphismNotInCategory`
-    message as its witness.
+    supplied by the caller.  Every composable pair has a composite in the
+    rows; an entry with the wrong endpoints fails CC1, and an axiom whose
+    check then composes it with a morphism it does not meet fails with the
+    `MorphismNotInCategory` message as its witness.
     """
     axioms: dict = {}
     witnesses: dict = {}
@@ -880,16 +876,17 @@ def restrict_morphisms(c: SubobjectCategory, keep) -> SubobjectCategory:
     homs: dict = {}
     for i, m in enumerate(keep):
         homs.setdefault((c.dom[m], c.cod[m]), []).append(i)
-    compose_table = {}
+    rows = []
     for m1 in keep:
-        for m2 in c.outgoing(c.cod[m1]):
+        row = []
+        for m2, m3 in zip(c.outgoing(c.cod[m1]), c.rows[m1]):
             if m2 not in old_to_new:
                 continue
-            m3 = c.compose(m1, m2)
             if m3 not in old_to_new:
                 raise AxiomFailure(
                     f"morphism set not closed: {c.label(m1)} . {c.label(m2)}")
-            compose_table[(old_to_new[m1], old_to_new[m2])] = old_to_new[m3]
+            row.append(old_to_new[m3])
+        rows.append(tuple(row))
     triples = tuple(c.triples[m] for m in keep) if c.triples is not None else None
     triple_index = None
     if triples is not None:
@@ -899,11 +896,11 @@ def restrict_morphisms(c: SubobjectCategory, keep) -> SubobjectCategory:
             triple_index[(a, b, c.triples[m][1])] = i
     return SubobjectCategory(
         n_objects=c.n_objects, leq=c.leq, dom=dom, cod=cod,
-        homs={k: tuple(v) for k, v in homs.items()}, compose_table=compose_table,
+        homs={k: tuple(v) for k, v in homs.items()}, rows=tuple(rows),
         identities=tuple(old_to_new[c.identities[a]] for a in c.objects),
         inclusions={k: old_to_new[j] for k, j in c.inclusions.items()},
         semigroup=c.semigroup, side=c.side, object_idem=c.object_idem,
-        object_ideal=c.object_ideal, triples=triples, triple_index=triple_index)
+        triples=triples, triple_index=triple_index)
 
 
 def normal_subcategory(c: SubobjectCategory) -> SubobjectCategory:

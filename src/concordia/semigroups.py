@@ -189,11 +189,17 @@ def validate_table(raw, names=None, one: Optional[int] = None) -> FiniteSemigrou
     return s
 
 
-@_memoised
 def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
-    """S^1: S itself when S is a monoid, otherwise S with an identity appended."""
+    """S^1: S itself when S is a monoid, otherwise S with an identity
+    appended.  Only the appended copy is memoised on s: memoising s on
+    itself would be a reference cycle."""
     if identity_of(s) is not None:
         return s
+    return _adjoined_copy(s)
+
+
+@_memoised
+def _adjoined_copy(s: FiniteSemigroup) -> FiniteSemigroup:
     n = s.order
     table = [list(row) + [i] for i, row in enumerate(s.table)]
     table.append(list(range(n + 1)))
@@ -411,20 +417,22 @@ def _bipartite_matching(left, right, edges):
     if len(left) != len(right):
         return None
     match_of_y: dict[int, int] = {}
-
-    def augment(x, seen):
-        for y in right:
-            if (x, y) in edges and y not in seen:
-                seen.add(y)
-                if y not in match_of_y or augment(match_of_y[y], seen):
-                    match_of_y[y] = x
-                    return True
-        return False
-
     for x in left:
-        if not augment(x, set()):
+        if not _augment(x, set(), right, edges, match_of_y):
             return None
     return {x: y for y, x in match_of_y.items()}
+
+
+def _augment(x, seen, right, edges, match_of_y) -> bool:
+    """Augment match_of_y along a path from x avoiding `seen`, if one exists."""
+    for y in right:
+        if (x, y) in edges and y not in seen:
+            seen.add(y)
+            if y not in match_of_y or _augment(match_of_y[y], seen, right, edges,
+                                               match_of_y):
+                match_of_y[y] = x
+                return True
+    return False
 
 
 def _matching_is_forced(left, right, edges, matching):

@@ -13,7 +13,7 @@ import hashlib
 import json
 
 from .categories import CategoryError, SubobjectCategory, from_parts
-from .cones import Cone, ConeSemigroup
+from .cones import Cone
 from .semigroups import (
     EqRelation,
     FiniteSemigroup,
@@ -83,18 +83,17 @@ def semigroup_from_json(data) -> FiniteSemigroup:
 
 
 def category_to_json(c: SubobjectCategory) -> dict:
-    """The category as schema "concordia.category/2"; `compose[m1]` lists
-    m1's composites with `c.outgoing(c.cod[m1])`, in that order."""
+    """The category as schema "concordia.category/2"; `compose` is
+    `c.rows`: `compose[m1]` lists m1's composites with
+    `c.outgoing(c.cod[m1])`, in that order."""
     objects = [{"id": a,
                 "leq": sorted(b for b in c.objects if b != a and (a, b) in c.leq)}
                for a in c.objects]
     morphisms = [{"id": m, "dom": c.dom[m], "cod": c.cod[m],
                   "inclusion": c.is_inclusion(m), "label": c.label(m)}
                  for m in c.morphisms]
-    compose = [[c.compose(m1, m2) for m2 in c.outgoing(c.cod[m1])]
-               for m1 in c.morphisms]
     return {"schema": CATEGORY_SCHEMA, "objects": objects,
-            "morphisms": morphisms, "compose": compose}
+            "morphisms": morphisms, "compose": list(map(list, c.rows))}
 
 
 def category_from_json(data) -> SubobjectCategory:
@@ -118,20 +117,13 @@ def category_from_json(data) -> SubobjectCategory:
               _id(m.get("cod"), n, f"morphism {i} cod"),
               _field(m, "inclusion", bool, f"morphism {i}", default=False))
              for i, m in enumerate(morphisms)]
-    if len(rows) != n_mor:
-        raise ParseError(f"compose has {len(rows)} rows for {n_mor} morphisms")
-    outgoing: dict = {}
-    for m, (d, _, _) in enumerate(parts):
-        outgoing.setdefault(d, []).append(m)
-    triples = []
     for m1, row in enumerate(rows):
-        out = outgoing.get(parts[m1][1], ())
-        if not isinstance(row, list) or len(row) != len(out):
-            raise ParseError(f"compose row {m1} must list {len(out)} composites")
-        triples += [(m1, m2, _id(m3, n_mor, f"compose row {m1}"))
-                    for m2, m3 in zip(out, row)]
+        if not isinstance(row, list):
+            raise ParseError(f"compose row {m1} must be a list")
+        for m3 in row:
+            _id(m3, n_mor, f"compose row {m1}")
     try:
-        return from_parts(n, leq, parts, triples)
+        return from_parts(n, leq, parts, rows)
     except CategoryError as exc:
         raise ParseError(f"bad category JSON: {exc}") from exc
 
@@ -164,12 +156,6 @@ def _id(value, n: int, where: str) -> int:
 def cone_to_json(cone: Cone) -> dict:
     return {"vertex": cone.vertex,
             "components": {str(a): m for a, m in enumerate(cone.components)}}
-
-
-def cone_semigroup_to_json(cs: ConeSemigroup) -> dict:
-    return {"semigroup": semigroup_to_json(cs.table),
-            "provenance": cs.provenance,
-            "cones": [cone_to_json(cone) for cone in cs.cones]}
 
 
 def eq_relation_to_json(rel: EqRelation) -> list:

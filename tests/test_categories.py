@@ -290,7 +290,7 @@ def test_cc2_fails_without_split_inclusion():
     c = from_parts(
         2, [(0, 1)],
         [(0, 0, True), (1, 1, True), (0, 1, True)],
-        [(0, 0, 0), (1, 1, 1), (0, 2, 2), (2, 1, 2)])
+        [(0, 2), (1,), (2,)])
     validate_category(c)
     rep = check_consistent_axioms(c)
     assert not rep.axioms["CC2"]
@@ -303,8 +303,7 @@ def test_cc3_fails_without_factorisation():
     c = from_parts(
         2, [],
         [(0, 0, True), (0, 0, False), (1, 1, True), (0, 1, False)],
-        [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 3, 3), (1, 3, 3),
-         (2, 2, 2), (3, 2, 3)])
+        [(0, 1, 3), (1, 1, 3), (2,), (3,)])
     validate_category(c)
     rep = check_consistent_axioms(c)
     assert not rep.axioms["CC3"]
@@ -346,7 +345,7 @@ def test_cone_budget_fallbacks():
     by_vertex = idempotent_cones_by_vertex(c, budget=(0, 0))
     assert all(by_vertex[v] for v in c.objects)
     # over budget without a semigroup: the caller must supply cones
-    abstract = from_parts(1, [], [(0, 0, True)], [(0, 0, 0)])
+    abstract = from_parts(1, [], [(0, 0, True)], [(0,)])
     with pytest.raises(CategoryError):
         idempotent_cones_by_vertex(abstract, budget=(0, 0))
 
@@ -357,14 +356,15 @@ def validate_category_scan(c):
     """Reference: category and subobject axioms by the M^3 scan over every
     ordered triple of morphisms."""
     n = c.n_morphisms
-    for (m1, m2), m3 in c.compose_table.items():
+    table = c.compose_table
+    for (m1, m2), m3 in table.items():
         if c.cod[m1] != c.dom[m2]:
             raise CategoryError(f"composite of non-composable pair ({m1},{m2})")
         if c.dom[m3] != c.dom[m1] or c.cod[m3] != c.cod[m2]:
             raise CategoryError(f"compose({m1},{m2}) has wrong endpoints")
     for m1 in range(n):
         for m2 in range(n):
-            if c.cod[m1] == c.dom[m2] and (m1, m2) not in c.compose_table:
+            if c.cod[m1] == c.dom[m2] and (m1, m2) not in table:
                 raise CategoryError(f"missing composite ({m1},{m2})")
             for m3 in range(n):
                 if c.cod[m1] == c.dom[m2] and c.cod[m2] == c.dom[m3]:
@@ -416,28 +416,26 @@ def test_validate_category_matches_scan_order_5():
             assert assert_same_verdict(c) is None, table
 
 
-def with_entry(c, key, m):
-    """c with compose_table[key] set to m, or dropped when m is None."""
-    table = dict(c.compose_table)
-    if m is None:
-        del table[key]
-    else:
-        table[key] = m
-    return dataclasses.replace(c, compose_table=table)
+def with_entry(c, m1, i, m):
+    """c with entry i of rows[m1] set to m."""
+    rows = list(c.rows)
+    rows[m1] = rows[m1][:i] + (m,) + rows[m1][i + 1:]
+    return dataclasses.replace(c, rows=tuple(rows))
 
 
 def mutations(c):
     """(kind, category) for every compose entry of c: another morphism of the
-    same hom-set, the entry dropped, and a morphism with wrong endpoints."""
-    for key, m in c.compose_table.items():
-        ends = (c.dom[m], c.cod[m])
-        same = [x for x in c.hom(*ends) if x != m]
-        if same:
-            yield "flip", with_entry(c, key, same[0])
-        yield "drop", with_entry(c, key, None)
-        other = [x for x in c.morphisms if (c.dom[x], c.cod[x]) != ends]
-        if other:
-            yield "endpoints", with_entry(c, key, other[0])
+    same hom-set, and a morphism with wrong endpoints.  A complete row has
+    no entry to drop."""
+    for m1, row in enumerate(c.rows):
+        for i, m in enumerate(row):
+            ends = (c.dom[m], c.cod[m])
+            same = [x for x in c.hom(*ends) if x != m]
+            if same:
+                yield "flip", with_entry(c, m1, i, same[0])
+            other = [x for x in c.morphisms if (c.dom[x], c.cod[x]) != ends]
+            if other:
+                yield "endpoints", with_entry(c, m1, i, other[0])
 
 
 @pytest.mark.parametrize("name", ["full-transformation:2", "brandt-b2",
@@ -452,8 +450,6 @@ def test_validate_category_matches_scan_on_mutations(name):
                 seen.add((kind, verdict[0], verdict[1].split("(")[0].split()[0]))
     # every failure the walk can report is reached
     assert {("flip", CategoryError, "associativity"),
-            ("drop", CategoryError, "missing"),
-            ("drop", MorphismNotInCategory, "morphisms"),
             ("endpoints", CategoryError, "compose")} <= seen
 
 
@@ -663,27 +659,30 @@ def test_cc4_matches_scan_order_5():
 
 def abstract(c):
     """c without its semigroup, so that a corrupted copy is judged by its
-    compose table alone (the starred cross-check of morphism_flags would
-    reject it first)."""
+    rows alone (the starred cross-check of morphism_flags would reject it
+    first)."""
     return dataclasses.replace(c, semigroup=None, side=None, object_idem=None,
-                               object_ideal=None, triples=None, triple_index=None)
+                               triples=None, triple_index=None)
 
 
 def swapped(c, x, y):
     """c with the morphisms x and y of one hom-set exchanged throughout its
-    compose table: an isomorphic table, so CC1 may still hold, while the
-    identities and inclusions keep their ids."""
-    f = {x: y, y: x}.get
-    return dataclasses.replace(c, compose_table={
-        (f(m1, m1), f(m2, m2)): f(m3, m3) for (m1, m2), m3 in c.compose_table.items()})
+    rows: an isomorphic table, so CC1 may still hold, while the identities
+    and inclusions keep their ids.  x and y share their endpoints, so each
+    row stays aligned: m1 m2 becomes f(f(m1) f(m2))."""
+    def f(m):
+        return {x: y, y: x}.get(m, m)
+    return dataclasses.replace(c, rows=tuple(
+        tuple(f(c.rows[f(m1)][c.pos[f(m2)]]) for m2 in c.outgoing(c.cod[m1]))
+        for m1 in c.morphisms))
 
 
 @pytest.mark.parametrize("name", ["full-transformation:2", "brandt-b2",
                                   "semilattice-chain:3"])
 def test_cc4_matches_scan_on_corruptions(name):
     # CC4 assumes CC1.  Every one-entry corruption of these tables breaks
-    # CC1, and on a flipped entry check_consistent_axioms then skips CC4 (a
-    # dropped entry or wrong endpoints break CC2's compose already).  The
+    # CC1, and on a flipped entry check_consistent_axioms then skips CC4
+    # (wrong endpoints break CC2's compose already).  The
     # routes are compared on the exchanges of two morphisms that keep CC1.
     skipped = compared = 0
     for side in (LEFT, RIGHT):
@@ -733,26 +732,74 @@ def test_cc4_skipped_when_cc1_fails():
     assert rep.witnesses["CC4"] == "skipped: CC1 failed"
 
 
-def test_cc_report_when_a_composite_is_missing():
-    # a category read without its semigroup may lack a composite: the report
-    # fails CC1, and an axiom whose check needs the composite fails with the
-    # same message instead of raising MorphismNotInCategory
+def test_from_parts_refuses_a_short_row():
+    # a row lists every composite, so a category lacking one cannot be
+    # assembled: from_parts refuses each one-entry-short row of L(T2), and
+    # the reader turns that into a ParseError
+    from concordia import serialization as ser
     c = lcat("full-transformation:2")
     parts = [(c.dom[m], c.cod[m], c.is_inclusion(m)) for m in c.morphisms]
     leq = [p for p in c.leq if p[0] != p[1]]
-    triples = sorted((m1, m2, m3) for (m1, m2), m3 in c.compose_table.items())
-    reports = 0
-    for k in range(len(triples)):
-        try:
-            bad = from_parts(c.n_objects, leq, parts, triples[:k] + triples[k + 1:])
-        except CategoryError:
-            continue  # the dropped entry was an identity law
+    doc = ser.category_to_json(c)
+    short = 0
+    for m1, row in enumerate(c.rows):
+        for i in range(len(row)):
+            rows = list(c.rows)
+            rows[m1] = row[:i] + row[i + 1:]
+            with pytest.raises(CategoryError, match="rows"):
+                from_parts(c.n_objects, leq, parts, rows)
+            bad = {**doc, "compose": [list(r) for r in rows]}
+            with pytest.raises(ser.ParseError, match="rows"):
+                ser.category_from_json(bad)
+            short += 1
+    assert short == len(c.compose_table) == 36
+
+
+def test_cc_report_when_an_entry_has_wrong_endpoints():
+    # such an entry fails CC1, and an axiom whose check composes it with a
+    # morphism it does not meet fails with the MorphismNotInCategory message
+    # instead of raising
+    c = abstract(lcat("full-transformation:2"))
+    reached = 0
+    for kind, bad in mutations(c):
+        if kind != "endpoints":
+            continue
         rep = check_consistent_axioms(bad)
-        assert not rep.axioms["CC1"]
+        assert rep.witnesses["CC1"].endswith("has wrong endpoints")
         assert all(rep.witnesses[name] for name, ok in rep.axioms.items() if not ok)
         assert len(rep.lines()) == 6
-        reports += 1
-    assert reports == 22
+        reached += any("not composable" in w for w in rep.witnesses.values())
+    assert reached > 0
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS)
+def test_compose_refuses_every_non_composable_pair(name):
+    # rows index m2 by its place among the morphisms out of dom m2, so
+    # without the endpoint check a non-composable pair would read some
+    # other morphism's composite
+    for side in (LEFT, RIGHT):
+        c = build_ideal_category(semigroup(name), side)
+        refused = 0
+        for m1 in c.morphisms:
+            for m2 in c.morphisms:
+                if c.cod[m1] != c.dom[m2]:
+                    with pytest.raises(MorphismNotInCategory, match="not composable"):
+                        c.compose(m1, m2)
+                    refused += 1
+        assert refused == c.n_morphisms ** 2 - len(c.compose_table)
+        # ids outside the category are refused too, not read from the end
+        for m1, m2 in ((-1, 0), (0, -1), (c.n_morphisms, 0), (0, c.n_morphisms)):
+            with pytest.raises(MorphismNotInCategory):
+                c.compose(m1, m2)
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS)
+def test_rows_survive_the_reader_and_writer(name):
+    from concordia import serialization as ser
+    for side in (LEFT, RIGHT):
+        c = build_ideal_category(semigroup(name), side)
+        back = ser.category_from_json(ser.category_to_json(abstract(c)))
+        assert back.rows == c.rows
 
 
 def stirling2(n, k):

@@ -28,6 +28,7 @@ from concordia.semigroups import (
     is_weakly_reductive,
     starred_relation,
     validate_table,
+    _bipartite_matching,
 )
 from conftest import SMALL_PRESETS, NONREGULAR_CONCORDANT, semigroup
 
@@ -499,5 +500,32 @@ def test_opposite_holds_its_semigroup_weakly():
         assert ref() is None
         again = op.op()
         assert again.table == tuple(map(tuple, table)) and again.op() is op
+    finally:
+        gc.enable()
+
+
+def test_adjoin_identity_leaves_a_monoid_acyclic():
+    # a monoid is its own S^1 and is not memoised on itself, so dropping it
+    # frees it at once, without the cyclic collector
+    table = [list(r) for r in semigroup("full-transformation:2").table]
+    gc.disable()
+    try:
+        s = validate_table(table)
+        assert adjoin_identity(s) is s
+        ref = weakref.ref(s)
+        del s
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_bipartite_matching_leaves_no_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        left = right = (0, 1, 2)
+        edges = frozenset((x, y) for x in left for y in right if x != y)
+        assert _bipartite_matching(left, right, edges) is not None
+        assert gc.collect() == 0
     finally:
         gc.enable()

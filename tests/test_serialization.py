@@ -59,8 +59,12 @@ def test_category_json_v2_rows():
     assert data["schema"] == "concordia.category/2"
     assert len(data["compose"]) == c.n_morphisms
     assert sum(map(len, data["compose"])) == len(c.compose_table)
+    # rho(e,u,f) rho(f,v,h) = rho(e,uv,h), read off the semigroup
+    mul = c.semigroup.mul
     for m1, row in enumerate(data["compose"]):
-        assert row == [c.compose_table[(m1, m2)] for m2 in c.outgoing(c.cod[m1])]
+        u = c.triples[m1][1]
+        assert row == [c.triple_index[(c.dom[m1], c.cod[m2], mul(u, c.triples[m2][1]))]
+                       for m2 in c.outgoing(c.cod[m1])]
 
 
 def test_category_reader_rejects_v1():
@@ -165,16 +169,6 @@ def test_omega_and_somega_json():
     sdata = json.loads(ser.dumps(ser.somega_to_json(somega)))
     assert len(sdata["linked_pairs"]) == 2
     assert sdata["semigroup"]["table"] == [[0, 0], [0, 1]]
-
-
-def test_cone_semigroup_json():
-    from concordia.cones import build_cone_semigroup
-    c = build_ideal_category(semigroup("semilattice-chain:2"), LEFT)
-    cs = build_cone_semigroup(c)
-    data = json.loads(ser.dumps(ser.cone_semigroup_to_json(cs)))
-    assert data["semigroup"]["order"] == 2
-    assert len(data["cones"]) == 2
-    assert data["cones"][0]["components"].keys() == {"0", "1"}
 
 
 def test_dumps_deterministic():
