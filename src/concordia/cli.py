@@ -163,7 +163,7 @@ def cmd_export(args) -> int:
                 else ser.dumps(ser.category_to_json(c)))
     elif args.what == "icc":
         try:
-            icc = build_icc(build_omega_s(s))
+            icc = build_icc(build_omega_s(s, mode=PRINCIPAL_ONLY))
         except NotConcordant as exc:
             sys.stderr.write(str(exc) + "\n")
             return EXIT_NOT_CONCORDANT

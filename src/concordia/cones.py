@@ -213,17 +213,8 @@ class ConeSemigroup:
     category: SubobjectCategory
     cones: tuple
     table: FiniteSemigroup
-    provenance: str
     index: dict
-    # per cone id: (idempotent cone id, bimorphism id) with cone = eps * u
-    witness: dict
     principal_of: Optional[dict] = None  # base element -> cone id
-    normal_ids: Optional[frozenset] = None
-    # whether E(C-hat) lies inside the normal-cone subsemigroup; this holds
-    # for every regular input but fails for some non-regular concordant ones
-    # (an idempotent cone may have a component with no normal factorisation),
-    # so it is recorded rather than enforced
-    normal_full: bool = True
     _h_cache: Optional[dict] = None
     _by_functor: Optional[dict] = field(default=None, init=False, repr=False)
 
@@ -233,21 +224,6 @@ class ConeSemigroup:
 
     def idempotent_ids(self) -> tuple:
         return idempotents(self.table)
-
-
-def _product_witness(c, cones_by_id, witness, i, j, index):
-    """Witness (eps, u) for a product, via the closure argument:
-    g1.g2 = eps1 * (u1 f)° with u1 f epi, factored as retraction.bimorphism."""
-    eps1, u1 = witness[i]
-    g2 = cones_by_id[j]
-    f = epi_component(c, g2.components[cones_by_id[i].vertex])
-    u1f = c.compose(u1, f)
-    from .categories import consistent_factorisation
-    fact = consistent_factorisation(c, u1f)
-    eps_new = cone_star(c, cones_by_id[eps1], fact.q)
-    if eps_new not in index:
-        raise AxiomFailure("witness idempotent cone escaped the enumerated set")
-    return index[eps_new], fact.u
 
 
 def build_cone_semigroup(c: SubobjectCategory, mode: str = EPSILON_STAR_U,
@@ -268,26 +244,19 @@ def build_cone_semigroup(c: SubobjectCategory, mode: str = EPSILON_STAR_U,
             raw[a] = principal_cone(c.semigroup, c, a)
         cone_set = set(raw.values())
     elif mode == EPSILON_STAR_U:
-        eps_cones = enumerate_idempotent_cones(c, budget)
-        cone_set = set(eps_cones)
-        gen_witness = {}
-        for eps in eps_cones:
-            gen_witness[eps] = (eps, c.identities[eps.vertex])
-            for u in c.morphisms:
-                if c.dom[u] == eps.vertex and morphism_flags(c, u).bimorphism:
-                    g = cone_star(c, eps, u)
-                    if g not in gen_witness:
-                        gen_witness[g] = (eps, u)
-                    cone_set.add(g)
+        cone_set = set()
+        for eps in enumerate_idempotent_cones(c, budget):
+            for u in c.outgoing(eps.vertex):
+                if morphism_flags(c, u).bimorphism:
+                    cone_set.add(cone_star(c, eps, u))
     elif mode == FULL_ENUMERATION:
         cone_set = set(enumerate_consistent_cones(c, budget))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    # close under composition (expected to be closed already for all modes;
-    # epsilon_star_u keeps witnesses across the closure); the pass that adds
-    # nothing has composed every ordered pair of the final cones, and its
-    # products are the Cayley table
+    # close under composition (expected to be closed already for all modes);
+    # the pass that adds nothing has composed every ordered pair of the final
+    # cones, and its products are the Cayley table
     cones = sorted(cone_set, key=lambda k: (k.vertex, k.components))
     while True:
         new = []
@@ -312,39 +281,8 @@ def build_cone_semigroup(c: SubobjectCategory, mode: str = EPSILON_STAR_U,
 
     cones = tuple(cones)
     index = {cone: i for i, cone in enumerate(cones)}
-    n = len(cones)
     table = [[index[g] for g in row] for row in products]
     fs = validate_table(table)
-
-    witness = {}
-    if mode == EPSILON_STAR_U:
-        pending = []
-        for i, cone in enumerate(cones):
-            if cone in gen_witness:
-                eps, u = gen_witness[cone]
-                witness[i] = (index[eps], u)
-            else:
-                pending.append(i)
-        # closure products get witnesses via the balanced-factorisation step
-        while pending:
-            progressed = False
-            for i in list(pending):
-                for a in range(n):
-                    if a in witness:
-                        for b in range(n):
-                            if table[a][b] == i and b != i:
-                                witness[i] = _product_witness(
-                                    c, cones, witness, a, b, index)
-                                pending.remove(i)
-                                progressed = True
-                                break
-                    if i not in pending:
-                        break
-            if not progressed:
-                raise AxiomFailure("cannot derive eps*u witnesses for closure products")
-    else:
-        for i, cone in enumerate(cones):
-            witness[i] = _generic_witness(c, cones, index, cone)
 
     if mode == PRINCIPAL_ONLY:
         principal_of = {a: index[raw[a]] for a in raw}
@@ -355,21 +293,34 @@ def build_cone_semigroup(c: SubobjectCategory, mode: str = EPSILON_STAR_U,
             if pc in index:
                 principal_of[a] = index[pc]
 
-    normal_ids = frozenset(i for i, cone in enumerate(cones)
-                           if is_cbar_normal_cone(c, cone))
-    cs = ConeSemigroup(c, cones, fs, mode, index, witness, principal_of, normal_ids)
-    cs.normal_full = _check_normal_subsemigroup(cs)
-    return cs
+    return ConeSemigroup(c, cones, fs, index, principal_of)
 
 
-def is_cbar_normal_cone(c: SubobjectCategory, cone: Cone) -> bool:
-    """A normal cone over the normal subcategory: every component admits a
-    normal factorisation and some component is an isomorphism.  (For a normal
-    category this coincides with the iso-component flag.)"""
+def normal_cones(cs: ConeSemigroup) -> tuple:
+    """(ids, full): the ids of the C-bar-valued normal cones, those whose
+    every component admits a normal factorisation and some component is an
+    isomorphism (for a normal category this is the iso-component flag), and
+    whether they contain every idempotent cone.
+
+    The normal cones must form a regular subsemigroup (backed by the
+    normal-category theory); a failure raises AxiomFailure.  Fullness holds
+    whenever the base semigroup is regular but fails when an idempotent cone
+    has a component without a normal factorisation, which happens for some
+    non-regular concordant inputs, so it is returned rather than enforced."""
     from .categories import normal_factorisation
-    if not any(morphism_flags(c, m).isomorphism for m in cone.components):
-        return False
-    return all(normal_factorisation(c, m) is not None for m in cone.components)
+    c, table = cs.category, cs.table.table
+    ids = frozenset(
+        i for i, cone in enumerate(cs.cones)
+        if any(morphism_flags(c, m).isomorphism for m in cone.components)
+        and all(normal_factorisation(c, m) is not None for m in cone.components))
+    for i in ids:
+        for j in ids:
+            if table[i][j] not in ids:
+                raise AxiomFailure("normal cones are not closed under composition")
+    for i in ids:
+        if not any(table[table[i][j]][i] == i for j in ids):
+            raise AxiomFailure("normal cone subsemigroup is not regular")
+    return ids, all(e in ids for e in idempotents(cs.table))
 
 
 def _generic_witness(c, cones, index, cone):
@@ -394,48 +345,33 @@ def _generic_witness(c, cones, index, cone):
     raise AxiomFailure("cone admits no eps*u decomposition")
 
 
-def _check_normal_subsemigroup(cs: ConeSemigroup) -> bool:
-    """The C-bar-valued normal cones form a regular subsemigroup (backed by
-    the normal-category theory); returns whether it is also full, i.e.
-    contains every idempotent cone.  Fullness holds whenever the base
-    semigroup is regular but fails when an idempotent cone has a component
-    without a normal factorisation, which happens for some non-regular
-    concordant inputs."""
-    table = cs.table.table
-    ids = cs.normal_ids
-    for i in ids:
-        for j in ids:
-            if table[i][j] not in ids:
-                raise AxiomFailure("normal cones are not closed under composition")
-    for i in ids:
-        if not any(table[table[i][j]][i] == i for j in ids):
-            raise AxiomFailure("normal cone subsemigroup is not regular")
-    return all(e in ids for e in idempotents(cs.table))
-
-
 @dataclass
 class ConeConcordance:
     report: object
     lemma_ab_ok: bool
+    # per cone id: (idempotent cone id, bimorphism id) with cone = eps * u
+    witness: dict
 
 
 def concordance_of_cone_semigroup(cs: ConeSemigroup) -> ConeConcordance:
     """is_concordant on the Cayley table over cone ids, plus the
     eps R* gamma L* delta witnesses for gamma = eps*u and idempotent delta
     with the same vertex."""
+    c, cones, index = cs.category, cs.cones, cs.index
     rep = is_concordant(cs.table)
     rstar = starred_relation(cs.table, RIGHT)
     lstar = starred_relation(cs.table, LEFT)
     ok = True
     idem = set(idempotents(cs.table))
-    for i, cone in enumerate(cs.cones):
-        eps, _u = cs.witness[i]
+    witness = {}
+    for i, cone in enumerate(cones):
+        eps, _u = witness[i] = _generic_witness(c, cones, index, cone)
         if not rstar.same(eps, i):
             ok = False
         for d in idem:
-            if cs.cones[d].vertex == cone.vertex and not lstar.same(i, d):
+            if cones[d].vertex == cone.vertex and not lstar.same(i, d):
                 ok = False
-    return ConeConcordance(rep, ok)
+    return ConeConcordance(rep, ok, witness)
 
 
 @dataclass

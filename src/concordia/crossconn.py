@@ -172,7 +172,6 @@ class DualCategory:
     rep: tuple  # per base object: representative idempotent cone id
     nat: dict  # per base morphism: tuple over underlying objects of {cone -> cone}
     gamma_tilde: dict  # per base morphism: underlying C-morphism id
-    tilde_index: dict = field(default_factory=dict)  # (o1, o2, gt) -> morphism
     action_index: dict = field(default_factory=dict)  # (o1, o2, frozen nat) -> morphism
 
     def object_of_cone(self, eps_id: int) -> int:
@@ -210,7 +209,7 @@ def build_dual(cs: ConeSemigroup) -> DualCategory:
     hs = tuple(h_functor(cs, reps[o]) for o in base.objects)
     nat = {}
     gamma_tilde = {}
-    tilde_index = {}
+    tilde_seen = set()
     action_index = {}
     for m in base.morphisms:
         e, u, f = base.triples[m]  # lambda(e, u, f): e C-hat -> f C-hat, u in f.C-hat.e
@@ -222,9 +221,9 @@ def build_dual(cs: ConeSemigroup) -> DualCategory:
             raise AxiomFailure("cone vertex is not a subobject of its L-class vertex")
         gt = c.compose(u_cone.components[c_eps2], c.inclusions[(u_cone.vertex, c_eps)])
         gamma_tilde[m] = gt
-        if (o1, o2, gt) in tilde_index:
+        if (o1, o2, gt) in tilde_seen:
             raise AxiomFailure("gamma~ realisation is not injective")
-        tilde_index[(o1, o2, gt)] = m
+        tilde_seen.add((o1, o2, gt))
         action = _conjugated_action(c, hs[o1], hs[o2], gt)
         for step, values in zip(action, hs[o2].values):
             if not values.issuperset(step.values()):
@@ -244,8 +243,7 @@ def build_dual(cs: ConeSemigroup) -> DualCategory:
     _check_naturality(c, base, hs, nat)
     _check_dual_functorial(base, nat)
     _check_subfunctor_order(c, base, hs)
-    return DualCategory(base, cs, c, hs, reps, nat, gamma_tilde, tilde_index,
-                        action_index)
+    return DualCategory(base, cs, c, hs, reps, nat, gamma_tilde, action_index)
 
 
 def _check_naturality(c: SubobjectCategory, base: SubobjectCategory, hs: tuple,

@@ -6,6 +6,7 @@ import pytest
 
 from concordia import serialization as ser
 from concordia.cli import main
+from conftest import NONREGULAR_CONCORDANT, SMALL_PRESETS
 
 
 def run(argv, capsys):
@@ -118,7 +119,6 @@ def test_roundtrip_epsilon_mode(tmp_path, capsys):
 
 
 def test_roundtrip_nonregular_concordant_from_file(tmp_path, capsys):
-    from conftest import NONREGULAR_CONCORDANT
     f = tmp_path / "w.json"
     f.write_text(json.dumps({"table": [list(r) for r in NONREGULAR_CONCORDANT]}))
     code, stdout, _ = run(["roundtrip", "--input", str(f),
@@ -214,6 +214,23 @@ def test_export_icc_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["objects"]) == 1 and len(data["morphisms"]) == 3
+
+
+@pytest.mark.parametrize("preset", SMALL_PRESETS + (None,))
+def test_export_icc_equals_roundtrip_icc(preset, tmp_path, capsys):
+    # export builds the cross-connection in roundtrip's default cone mode;
+    # None stands for NONREGULAR_CONCORDANT, read from a file
+    source = ["--preset", preset]
+    if preset is None:
+        f = tmp_path / "w.json"
+        f.write_text(json.dumps({"table": [list(r) for r in NONREGULAR_CONCORDANT]}))
+        source = ["--input", str(f)]
+    code, _, _ = run(["roundtrip", *source, "--out", str(tmp_path / "rt")], capsys)
+    assert code == 0
+    code, _, _ = run(["export", *source, "--what", "icc",
+                      "--out", str(tmp_path / "icc.json")], capsys)
+    assert code == 0
+    assert (tmp_path / "icc.json").read_bytes() == (tmp_path / "rt" / "icc.json").read_bytes()
 
 
 def _raise(exc):

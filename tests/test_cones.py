@@ -19,6 +19,7 @@ from concordia.cones import (
     enumerate_idempotent_cones,
     h_functor,
     is_cone,
+    normal_cones,
     principal_cone,
 )
 from concordia.semigroups import (
@@ -153,8 +154,9 @@ def test_normal_subsemigroup_full_and_regular_for_regular_presets(name):
     s, c = setup(name)
     assert is_regular(s)
     cs = build_cone_semigroup(c, EPSILON_STAR_U)
-    assert cs.normal_full  # E(C-hat-bar) = E(C-hat) holds in the regular case
-    assert set(idempotents(cs.table)) <= set(cs.normal_ids)
+    ids, full = normal_cones(cs)
+    assert full  # E(C-hat-bar) = E(C-hat) holds in the regular case
+    assert set(idempotents(cs.table)) <= ids
 
 
 def test_normal_subsemigroup_not_full_for_nonregular_witness():
@@ -164,8 +166,9 @@ def test_normal_subsemigroup_not_full_for_nonregular_witness():
     c = build_ideal_category(w, LEFT)
     cs = build_cone_semigroup(c, EPSILON_STAR_U)
     assert cs.order == 5
-    assert not cs.normal_full
-    assert len(cs.normal_ids) == 3 and len(cs.idempotent_ids()) == 4
+    ids, full = normal_cones(cs)
+    assert not full
+    assert len(ids) == 3 and len(cs.idempotent_ids()) == 4
     # ... and C-hat is NOT concordant (Theorem falsified on this instance):
     # a product of two idempotent cones is not regular in C-hat
     cc = concordance_of_cone_semigroup(cs)
@@ -292,7 +295,7 @@ def test_abstract_ingestion_reproduces_cone_semigroup(name):
     cs_a = build_cone_semigroup(abstract, EPSILON_STAR_U)
     assert cs_b.cones == cs_a.cones
     assert cs_b.table.table == cs_a.table.table
-    assert cs_b.normal_ids == cs_a.normal_ids
+    assert normal_cones(cs_b) == normal_cones(cs_a)
     assert check_consistent_axioms(abstract).ok
 
 
@@ -312,13 +315,87 @@ def two_pass_table(cs):
                  for g1 in cones)
 
 
-def test_cone_table_matches_two_pass_up_to_order_4():
-    # the table is read off the closure's last pass
-    for table in concordant_classes(4):
+MODES = (PRINCIPAL_ONLY, EPSILON_STAR_U, FULL_ENUMERATION)
+
+
+def sides_of(tables):
+    for table in tables:
         s = validate_table([list(r) for r in table])
         for side in (LEFT, RIGHT):
-            c = build_ideal_category(s, side)
-            for mode in (PRINCIPAL_ONLY, EPSILON_STAR_U, FULL_ENUMERATION):
-                cs = build_cone_semigroup(c, mode)
-                assert list(cs.cones) == sorted(cs.cones, key=lambda k: (k.vertex, k.components))
-                assert cs.table.table == two_pass_table(cs), (table, side, mode)
+            yield table, s, side, build_ideal_category(s, side)
+
+
+def test_cone_table_matches_two_pass_up_to_order_4():
+    # the table is read off the closure's last pass
+    for table, _s, side, c in sides_of(concordant_classes(4)):
+        for mode in MODES:
+            cs = build_cone_semigroup(c, mode)
+            assert list(cs.cones) == sorted(cs.cones, key=lambda k: (k.vertex, k.components))
+            assert cs.table.table == two_pass_table(cs), (table, side, mode)
+
+
+def check_witness_route(tables):
+    """Every cone of every cone semigroup is eps * u by the witness that
+    concordance_of_cone_semigroup returns; (cases, cones) visited."""
+    cases = n_cones = 0
+    for table, _s, side, c in sides_of(tables):
+        for mode in MODES:
+            cs = build_cone_semigroup(c, mode)
+            cc = concordance_of_cone_semigroup(cs)
+            assert cc.lemma_ab_ok, (table, side, mode)
+            assert sorted(cc.witness) == list(range(cs.order))
+            for i, (eps, u) in cc.witness.items():
+                assert cone_flags(c, cs.cones[eps]).idempotent, (table, side, mode, i)
+                assert morphism_flags(c, u).bimorphism, (table, side, mode, i)
+                assert cone_star(c, cs.cones[eps], u) == cs.cones[i], (table, side, mode, i)
+            cases += 1
+            n_cones += cs.order
+    return cases, n_cones
+
+
+def test_eps_u_witnesses_up_to_order_4():
+    assert check_witness_route(concordant_classes(4)) == (516, 1994)
+
+
+@pytest.mark.slow
+def test_eps_u_witnesses_order_5():
+    tables = [t for t in concordant_classes(5) if len(t) == 5]
+    assert check_witness_route(tables) == (2214, 12724)
+
+
+def normal_census(tables, mode):
+    """(sides, cones, normal cones, sides whose normal cones are not full)."""
+    sides = n_cones = normal = not_full = 0
+    for table, s, side, c in sides_of(tables):
+        cs = build_cone_semigroup(c, mode)
+        ids, full = normal_cones(cs)
+        sides += 1
+        n_cones += cs.order
+        normal += len(ids)
+        if not full:
+            assert not is_regular(s), (table, side)
+            not_full += 1
+    return sides, n_cones, normal, not_full
+
+
+@pytest.mark.parametrize("mode, counts", [(PRINCIPAL_ONLY, (172, 574, 572, 0)),
+                                          (EPSILON_STAR_U, (172, 710, 706, 2))])
+def test_normal_cones_census_up_to_order_4(mode, counts):
+    assert normal_census(concordant_classes(4), mode) == counts
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode, counts", [(PRINCIPAL_ONLY, (910, 3946, 3914, 0)),
+                                          (EPSILON_STAR_U, (910, 5386, 5316, 26))])
+def test_normal_cones_census_up_to_order_5(mode, counts):
+    assert normal_census(concordant_classes(5), mode) == counts
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_build_cone_semigroup_computes_no_normal_factorisation(mode, monkeypatch):
+    # the normal cones are computed by normal_cones only, on demand
+    def fail(c, m):
+        raise AssertionError("build_cone_semigroup asked for a normal factorisation")
+    monkeypatch.setattr("concordia.categories.normal_factorisation", fail)
+    for _table, _s, _side, c in sides_of(concordant_classes(4)):
+        build_cone_semigroup(c, mode)
