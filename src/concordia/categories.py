@@ -17,6 +17,7 @@ from .semigroups import (
     NotAbundant,
     green_classes,
     idempotents,
+    is_abundant,
     starred_relation,
 )
 
@@ -95,8 +96,9 @@ class SubobjectCategory:
     # memos, derived from the fields above; init=False keeps
     # dataclasses.replace from carrying them into a changed category
     _flags: dict = field(default_factory=dict, init=False, repr=False)
-    _epi: dict = field(default_factory=dict, init=False, repr=False)
+    _cf: dict = field(default_factory=dict, init=False, repr=False)
     _nf: dict = field(default_factory=dict, init=False, repr=False)
+    _object_of: Optional[tuple] = field(default=None, init=False, repr=False)
     _outgoing: Optional[dict] = field(default=None, init=False, repr=False)
     _pos: Optional[tuple] = field(default=None, init=False, repr=False)
     _incoming: Optional[dict] = field(default=None, init=False, repr=False)
@@ -137,6 +139,16 @@ class SubobjectCategory:
         if self._pos is None:
             self.outgoing(0)
         return self._pos
+
+    @property
+    def object_of(self) -> tuple:
+        """object_of[x]: the object whose idempotent is L-related to the base
+        element x, or None; built once from the L-classes of the base."""
+        if self._object_of is None:
+            part = green_classes(self.semigroup).l.partition
+            by_class = {part[e]: a for a, e in enumerate(self.object_idem)}
+            self._object_of = tuple(map(by_class.get, part))
+        return self._object_of
 
     def incoming(self, b: int) -> tuple:
         """The morphism ids with codomain b, in increasing order."""
@@ -283,27 +295,17 @@ def morphism_triple(c: SubobjectCategory, m: int) -> MorphismTriple:
 
 
 def locate_triple(c: SubobjectCategory, e: int, u: int, f: int) -> Optional[int]:
-    """Morphism id of rho(e,u,f) for arbitrary idempotent representatives."""
-    base, l = c.semigroup, green_classes(c.semigroup).l
-    a = _object_of_class(c, l.partition[e])
-    b = _object_of_class(c, l.partition[f])
+    """Morphism id of rho(e,u,f) for arbitrary idempotent representatives,
+    or None; the objects of e and f are read from `c.object_of`."""
+    a, b = c.object_of[e], c.object_of[f]
     if a is None or b is None:
         return None
-    return c.triple_index.get((a, b, base.mul(c.object_idem[a], u)))
-
-
-def _object_of_class(c: SubobjectCategory, class_id: int) -> Optional[int]:
-    l = green_classes(c.semigroup).l
-    for a in c.objects:
-        if l.partition[c.object_idem[a]] == class_id:
-            return a
-    return None
+    return c.triple_index.get((a, b, c.semigroup.mul(c.object_idem[a], u)))
 
 
 def object_of_idempotent(c: SubobjectCategory, e: int) -> int:
     """The object (ideal) generated by the idempotent e of the base semigroup."""
-    l = green_classes(c.semigroup).l
-    a = _object_of_class(c, l.partition[e])
+    a = c.object_of[e]
     if a is None:
         raise MorphismNotInCategory(f"{e} is not an idempotent of the base semigroup")
     return a
@@ -538,11 +540,20 @@ def consistent_factorisation(c: SubobjectCategory, m: int) -> Optional[Factorisa
     """retraction * bimorphism * inclusion decomposition of m.
 
     Uses the starred-witness construction when the category comes from a
-    semigroup (g = g'e with g' the canonical idempotent R*-related to u, and
-    dually), otherwise an exhaustive search.  Raises NotAbundant when the
+    semigroup (g = u'e with u' = is_abundant(S).dagger[u], and dually with
+    .star), otherwise an exhaustive search.  Raises NotAbundant when the
     semigroup route finds no starred idempotent witness and no search result
     exists; returns None for abstract categories without a decomposition.
+    Memoised on the category, None included; a NotAbundant is not memoised.
     """
+    if m in c._cf:
+        return c._cf[m]
+    out = _consistent_factorisation_uncached(c, m)
+    c._cf[m] = out
+    return out
+
+
+def _consistent_factorisation_uncached(c, m):
     parts = None
     semigroup_witness_missing = False
     if c.semigroup is not None:
@@ -558,24 +569,17 @@ def consistent_factorisation(c: SubobjectCategory, m: int) -> Optional[Factorisa
         return None
     q, u, j = parts
     assert c.compose_many(q, u, j) == m
-    epi = c.compose(q, u)
-    fact = Factorisation(q, u, j, "consistent", epi, c.cod[u])
-    c._epi.setdefault(m, epi)
-    return fact
+    return Factorisation(q, u, j, "consistent", c.compose(q, u), c.cod[u])
 
 
 def _semigroup_consistent_parts(c: SubobjectCategory, m: int) -> Optional[tuple]:
     s = c.semigroup
     e, u, f = c.triples[m]
-    rstar = starred_relation(s, RIGHT)
-    lstar = starred_relation(s, LEFT)
-    es = set(idempotents(s))
-    rwit = [g for g in rstar.class_of(u) if g in es]
-    lwit = [h for h in lstar.class_of(u) if h in es]
-    if not rwit or not lwit:
+    ab = is_abundant(s)
+    if ab.dagger[u] is None or ab.star[u] is None:
         return None
-    g = s.mul(min(rwit), e)
-    h = s.mul(f, min(lwit))
+    g = s.mul(ab.dagger[u], e)
+    h = s.mul(f, ab.star[u])
     q = locate_triple(c, e, g, g)
     mid = locate_triple(c, g, u, h)
     j = locate_triple(c, h, h, f)
@@ -589,13 +593,12 @@ def _semigroup_consistent_parts(c: SubobjectCategory, m: int) -> Optional[tuple]
 
 
 def epi_component(c: SubobjectCategory, m: int) -> int:
-    """The epimorphic component m° of the consistent factorisation of m."""
-    if m not in c._epi:
-        fact = consistent_factorisation(c, m)
-        if fact is None:
-            raise NotAbundant(f"{c.label(m)} has no consistent factorisation")
-        c._epi[m] = fact.epi_component
-    return c._epi[m]
+    """The epimorphic component m° of the consistent factorisation of m, read
+    from the memo of `consistent_factorisation`."""
+    fact = consistent_factorisation(c, m)
+    if fact is None:
+        raise NotAbundant(f"{c.label(m)} has no consistent factorisation")
+    return fact.epi_component
 
 
 def normal_factorisation(c: SubobjectCategory, m: int) -> Optional[Factorisation]:
@@ -622,18 +625,13 @@ def _normal_factorisation_uncached(c, m):
     if fact is not None and morphism_flags(c, fact.u).isomorphism:
         return Factorisation(fact.q, fact.u, fact.j, "normal",
                              fact.epi_component, fact.image)
-    if c.semigroup is not None:
-        parts = _sandwich_parts(c, m)
-        if parts is not None:
-            q, mid, j = parts
-            epi = c.compose(q, mid)
-            return Factorisation(q, mid, j, "normal", epi, c.cod[mid])
-    parts = _search_factorisation(c, m, lambda u: morphism_flags(c, u).isomorphism)
+    parts = _sandwich_parts(c, m) if c.semigroup is not None else None
+    if parts is None:
+        parts = _search_factorisation(c, m, lambda u: morphism_flags(c, u).isomorphism)
     if parts is None:
         return None
     q, mid, j = parts
-    epi = c.compose(q, mid)
-    return Factorisation(q, mid, j, "normal", epi, c.cod[mid])
+    return Factorisation(q, mid, j, "normal", c.compose(q, mid), c.cod[mid])
 
 
 def _sandwich_parts(c: SubobjectCategory, m: int) -> Optional[tuple]:
@@ -641,9 +639,8 @@ def _sandwich_parts(c: SubobjectCategory, m: int) -> Optional[tuple]:
     s = c.semigroup
     e, u, g_rep = c.triples[m]
     bo = biorder(s)
-    l = green_classes(s).l
     for g in bo.idempotents:
-        if not l.same(g, g_rep) or s.mul(e, g) != u:
+        if c.object_of[g] != c.object_of[g_rep] or s.mul(e, g) != u:
             continue
         upper = [f for f in bo.idempotents
                  if s.mul(e, f) == e and s.mul(g, f) == g and s.mul(f, g) == g]
@@ -792,13 +789,13 @@ class AxiomReport:
                 for name, v in self.axioms.items()]
 
 
-def check_consistent_axioms(c: SubobjectCategory, cones=None) -> AxiomReport:
+def check_consistent_axioms(c: SubobjectCategory) -> AxiomReport:
     """CC1..CC6 with witnesses.
 
-    CC6 needs idempotent cones: they are enumerated (via the cone module) when
-    the category is within the budget of `idempotent_cones_by_vertex`, taken
-    from the principal cones when the category comes from a semigroup, or
-    supplied by the caller.  Every composable pair has a composite in the
+    CC6 needs idempotent cones: `idempotent_cones_by_vertex` enumerates them
+    within its budget, or takes the principal cones when the category comes
+    from a semigroup, and raises CategoryError for a larger abstract
+    category.  Every composable pair has a composite in the
     rows; an entry with the wrong endpoints fails CC1, and an axiom whose
     check then composes it with a morphism it does not meet fails with the
     `MorphismNotInCategory` message as its witness.
@@ -841,10 +838,8 @@ def check_consistent_axioms(c: SubobjectCategory, cones=None) -> AxiomReport:
                     return f"{c.label(j)} . {c.label(q)} admits no normal factorisation"
 
     def cc6():
-        cone_sets = cones
-        if cone_sets is None:
-            from .cones import idempotent_cones_by_vertex
-            cone_sets = idempotent_cones_by_vertex(c)
+        from .cones import idempotent_cones_by_vertex
+        cone_sets = idempotent_cones_by_vertex(c)
         for v in c.objects:
             if not cone_sets.get(v):
                 return f"object {c.object_label(v)} has no idempotent consistent cone"
@@ -917,7 +912,7 @@ def normal_subcategory(c: SubobjectCategory) -> SubobjectCategory:
     return sub
 
 
-def check_normal_axioms(c: SubobjectCategory, cones=None) -> AxiomReport:
+def check_normal_axioms(c: SubobjectCategory) -> AxiomReport:
     """NC1..NC4 for a (candidate) normal category."""
     axioms: dict = {}
     witnesses: dict = {}
@@ -945,10 +940,8 @@ def check_normal_axioms(c: SubobjectCategory, cones=None) -> AxiomReport:
     axioms["NC3"] = nc3
 
     nc4 = True
-    cone_sets = cones
-    if cone_sets is None:
-        from .cones import idempotent_cones_by_vertex
-        cone_sets = idempotent_cones_by_vertex(c)
+    from .cones import idempotent_cones_by_vertex
+    cone_sets = idempotent_cones_by_vertex(c)
     for v in c.objects:
         if not cone_sets.get(v):
             nc4 = False

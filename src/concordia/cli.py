@@ -11,6 +11,7 @@ morphisms are written in the order of their composition.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,11 +37,19 @@ EXIT_CERTIFICATE = 3
 EXIT_BUDGET = 4
 
 
+def _preset(spec):
+    """presets.preset, with its ValueError read as a parse error."""
+    try:
+        return presets.preset(spec)
+    except ValueError as exc:
+        raise ser.ParseError(f"--preset {spec}: {exc}") from exc
+
+
 def _load_semigroup(args):
     if args.preset and args.input:
         raise ser.ParseError("give either --input or --preset, not both")
     if args.preset:
-        return presets.preset(args.preset)
+        return _preset(args.preset)
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             return ser.semigroup_from_json(json.load(fh))
@@ -55,7 +64,7 @@ def _write(path, text):
 
 
 def cmd_gen(args) -> int:
-    s = presets.preset(args.preset)
+    s = _preset(args.preset)
     _write(args.out, ser.dumps(ser.semigroup_to_json(s)))
     return EXIT_OK
 
@@ -186,7 +195,10 @@ class _Parser(argparse.ArgumentParser):
         raise ser.ParseError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    caller, which must not change it."""
     p = _Parser(
         prog="concordia",
         description="Concordance checker and cross-connection workbench for "

@@ -25,6 +25,7 @@ from .semigroups import (
     FiniteSemigroup,
     NotAbundant,
     idempotents,
+    is_abundant,
     is_concordant,
     starred_relation,
     validate_table,
@@ -90,19 +91,17 @@ def cone_star(c: SubobjectCategory, cone: Cone, f: int) -> Cone:
     return Cone(c.cod[f], comps)
 
 
-def principal_cone(s: FiniteSemigroup, c: SubobjectCategory, a: int) -> Cone:
-    """rho^a: Se -> rho(e, ea, f) with f the canonical idempotent of L*_a.
+def principal_cone(c: SubobjectCategory, a: int) -> Cone:
+    """rho^a: Se -> rho(e, ea, f) with f = a*, the canonical idempotent of
+    L*_a, read from `is_abundant` of the category's semigroup.
 
     For the RIGHT-side category (built over S.op()) the element id `a` is
     interpreted in the opposite semigroup, giving the dual cone lambda^a.
     """
     base = c.semigroup
-    lstar = starred_relation(base, LEFT)
-    es = set(idempotents(base))
-    wits = [e for e in lstar.class_of(a) if e in es]
-    if not wits:
+    f = is_abundant(base).star[a]
+    if f is None:
         raise NotAbundant(f"element {base.name(a)} has no idempotent in its L*-class")
-    f = min(wits)
     vertex = object_of_idempotent(c, f)
     comps = []
     for obj in c.objects:
@@ -186,7 +185,7 @@ def idempotent_cones_by_vertex(c: SubobjectCategory, budget=(10, 200)) -> dict:
 
     Enumerates exhaustively within budget; falls back to principal cones of
     the object representatives when the category comes from a semigroup;
-    otherwise the caller must supply cones.
+    otherwise raises CategoryError.
     """
     if c.n_objects <= budget[0] and c.n_morphisms <= budget[1]:
         by_vertex: dict = {v: [] for v in c.objects}
@@ -196,11 +195,12 @@ def idempotent_cones_by_vertex(c: SubobjectCategory, budget=(10, 200)) -> dict:
     if c.semigroup is not None:
         by_vertex = {}
         for v in c.objects:
-            cone = principal_cone(c.semigroup, c, c.object_idem[v])
+            cone = principal_cone(c, c.object_idem[v])
             by_vertex.setdefault(cone.vertex, []).append(cone)
         return by_vertex
     raise CategoryError(
-        "category too large for exhaustive cone search; supply candidate cones")
+        "category too large for exhaustive cone search and has no semigroup "
+        "for principal cones")
 
 
 PRINCIPAL_ONLY = "principal"
@@ -241,7 +241,7 @@ def build_cone_semigroup(c: SubobjectCategory, mode: str = EPSILON_STAR_U,
             raise CategoryError("principal mode needs a semigroup-backed category")
         raw = {}
         for a in c.semigroup.elements:
-            raw[a] = principal_cone(c.semigroup, c, a)
+            raw[a] = principal_cone(c, a)
         cone_set = set(raw.values())
     elif mode == EPSILON_STAR_U:
         cone_set = set()
@@ -289,7 +289,7 @@ def build_cone_semigroup(c: SubobjectCategory, mode: str = EPSILON_STAR_U,
     elif c.semigroup is not None:
         principal_of = {}
         for a in c.semigroup.elements:
-            pc = principal_cone(c.semigroup, c, a)
+            pc = principal_cone(c, a)
             if pc in index:
                 principal_of[a] = index[pc]
 

@@ -167,15 +167,9 @@ class DualCategory:
 
     base: SubobjectCategory
     cone_semigroup: ConeSemigroup
-    underlying: SubobjectCategory
-    h: tuple  # per base object: HFunctor of the representative idempotent cone
-    rep: tuple  # per base object: representative idempotent cone id
+    h: tuple  # per base object: HFunctor of its idempotent cone base.object_idem[o]
     nat: dict  # per base morphism: tuple over underlying objects of {cone -> cone}
     gamma_tilde: dict  # per base morphism: underlying C-morphism id
-    action_index: dict = field(default_factory=dict)  # (o1, o2, frozen nat) -> morphism
-
-    def object_of_cone(self, eps_id: int) -> int:
-        return object_of_idempotent(self.base, eps_id)
 
 
 def _freeze_action(action) -> tuple:
@@ -194,7 +188,9 @@ def _conjugated_action(c: SubobjectCategory, h_src, h_dst, gt: int) -> list:
 def build_dual(cs: ConeSemigroup) -> DualCategory:
     """C* via the bijection lambda(eps, gamma, eps') -> gamma~ =
     gamma(c_eps') . j, with the eta-square realisation of every hom and the
-    subfunctor order checked against the right-ideal order.
+    subfunctor order checked against the right-ideal order.  No two dual
+    morphisms with the same endpoints share a natural transformation, so a
+    morphism is determined by its endpoints and its `nat`.
 
     The naturality squares and the subfunctor maps are checked at the
     generators of C, and the functoriality of the realisation for first
@@ -210,7 +206,7 @@ def build_dual(cs: ConeSemigroup) -> DualCategory:
     nat = {}
     gamma_tilde = {}
     tilde_seen = set()
-    action_index = {}
+    nat_seen = set()
     for m in base.morphisms:
         e, u, f = base.triples[m]  # lambda(e, u, f): e C-hat -> f C-hat, u in f.C-hat.e
         o1, o2 = base.dom[m], base.cod[m]
@@ -230,9 +226,9 @@ def build_dual(cs: ConeSemigroup) -> DualCategory:
                 raise NaturalityFailure("nat component leaves the target H-functor")
         nat[m] = tuple(action)
         akey = (o1, o2, _freeze_action(action))
-        if akey in action_index:
+        if akey in nat_seen:
             raise AxiomFailure("two dual morphisms share a natural transformation")
-        action_index[akey] = m
+        nat_seen.add(akey)
     # gamma~ ranges over all of hom(c_eps', c_eps)
     for o1 in base.objects:
         for o2 in base.objects:
@@ -243,7 +239,7 @@ def build_dual(cs: ConeSemigroup) -> DualCategory:
     _check_naturality(c, base, hs, nat)
     _check_dual_functorial(base, nat)
     _check_subfunctor_order(c, base, hs)
-    return DualCategory(base, cs, c, hs, reps, nat, gamma_tilde, action_index)
+    return DualCategory(base, cs, hs, nat, gamma_tilde)
 
 
 def _check_naturality(c: SubobjectCategory, base: SubobjectCategory, hs: tuple,
@@ -350,7 +346,7 @@ def _unique_idempotent_cone(dual: DualCategory, obj: int, vertex: int) -> int:
     checked unique against the index of E(C-hat) by (vertex, values)."""
     cs = dual.cone_semigroup
     c = cs.category
-    eps_id = dual.rep[obj]
+    eps_id = dual.base.object_idem[obj]
     eps = cs.cones[eps_id]
     comp = eps.components[vertex]
     flags = morphism_flags(c, comp)
@@ -385,13 +381,11 @@ def build_omega_s(s: FiniteSemigroup, mode: str = EPSILON_STAR_U) -> CrossConnec
     omega = _assemble(c, d, cs_c, cs_d, dual_c, dual_d, gamma, delta)
 
     # the biordered set E_Omega is E(S) under e -> (Se, eS)
-    expected = set()
-    for e in idempotents(s):
-        expected.add((object_of_idempotent(c, e), object_of_idempotent(d, e)))
-    if expected != set(omega.e_omega):
+    pair_of = {e: (object_of_idempotent(c, e), object_of_idempotent(d, e))
+               for e in idempotents(s)}
+    if set(pair_of.values()) != set(omega.e_omega):
         raise CertificateFailure("E_Omega does not match {(Se, eS) : e in E(S)}")
-    for e in idempotents(s):
-        cd = (object_of_idempotent(c, e), object_of_idempotent(d, e))
+    for e, cd in pair_of.items():
         if omega.gamma_of[cd] != cs_c.principal_of[e]:
             raise CertificateFailure("gamma(Se, eS) is not the principal cone rho^e")
         if omega.delta_of[cd] != cs_d.principal_of[e]:
@@ -405,13 +399,16 @@ def _gamma_functor(d: SubobjectCategory, dual_c: DualCategory, name: str,
     sides swapped it is Delta_S: C -> D*.
 
     An object of D with idempotent e goes to the dual object of the principal
-    cone rho^e; a morphism (e, u, f) of D goes to the dual morphism acting as
-    eta_{rho^e} . Hom(gt, -) . eta_{rho^f}^{-1}, gt the morphism (f, u, e) of
-    C.  The same map is the factorisation FS . G, (e, u, f) -> the morphism
-    (rho^e, rho^u, rho^f) of the dual's base, and that is asserted too."""
-    c, cs_c = dual_c.underlying, dual_c.cone_semigroup
-    p = cs_c.principal_of
-    objects = {dobj: dual_c.object_of_cone(p[d.object_idem[dobj]]) for dobj in d.objects}
+    cone rho^e; a morphism (e, u, f) of D goes to its FS factorisation, the
+    morphism (rho^e, rho^u, rho^f) of the dual's base, whose `nat` must be
+    eta_{rho^e} . Hom(gt, -) . eta_{rho^f}^{-1}, gt the morphism (f, u, e)
+    of C.  The endpoints of that image are the object images by
+    construction, and `build_dual` has checked that endpoints and `nat`
+    determine a dual morphism, so this is the one morphism acting so."""
+    cs_c = dual_c.cone_semigroup
+    c, p = cs_c.category, cs_c.principal_of
+    objects = {dobj: object_of_idempotent(dual_c.base, p[d.object_idem[dobj]])
+               for dobj in d.objects}
     morphisms = {}
     for m in d.morphisms:
         e, u, f = d.triples[m]
@@ -419,21 +416,15 @@ def _gamma_functor(d: SubobjectCategory, dual_c: DualCategory, name: str,
         if gt is None:
             raise AxiomFailure(f"{name}: no morphism (f,u,e) of the other side "
                                f"for {d.label(m)}")
+        image = locate_triple(dual_c.base, p[e], p[u], p[f])
         action = _conjugated_action(c, h_functor(cs_c, p[e]), h_functor(cs_c, p[f]), gt)
-        key = (objects[d.dom[m]], objects[d.cod[m]], _freeze_action(action))
-        if key not in dual_c.action_index:
-            raise AxiomFailure(f"{name} morphism image not found in the dual")
-        morphisms[m] = dual_c.action_index[key]
+        if image is None or dual_c.nat[image] != tuple(action):
+            raise CertificateFailure(f"{name} does not factor as {factorisation}")
+        morphisms[m] = image
     functor = FunctorData(d, dual_c.base, objects, morphisms)
     ok, why = is_local_isomorphism(functor)
     if not ok:
         raise CertificateFailure(f"{name} is not a local isomorphism: {why}")
-    # FS maps objects by the expression above, so only morphisms can differ,
-    # and where they agree FS is the local isomorphism just certified
-    for m in d.morphisms:
-        e, u, f = d.triples[m]
-        if locate_triple(dual_c.base, p[e], p[u], p[f]) != morphisms[m]:
-            raise CertificateFailure(f"{name} does not factor as {factorisation}")
     return functor
 
 

@@ -122,7 +122,7 @@ def test_criterion_3_companion_gamma_hat_is_principal(name):
     s, omega, somega = omega_bundle(name)
     gamma_hat = {omega.cs_c.cones[g] for (g, d) in somega.pairs}
     c = build_ideal_category(s, LEFT)
-    principal = {principal_cone(s, c, a) for a in s.elements}
+    principal = {principal_cone(c, a) for a in s.elements}
     report(f"criterion 3 companion Gamma-hat principal {name}",
            gamma_hat == principal,
            f"|Gamma-hat| = {len(gamma_hat)}")

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+from collections import Counter
 
 import pytest
 
-from concordia import presets
+from concordia import categories, presets
 from concordia.categories import (
     AxiomFailure,
     CategoryError,
@@ -25,12 +26,15 @@ from concordia.categories import (
     _cor_ideal_closure,
     _cor_ideal_morphisms,
 )
+from concordia.cones import EPSILON_STAR_U, PRINCIPAL_ONLY
 from concordia.semigroups import (
     LEFT,
     RIGHT,
     adjoin_identity,
     green_classes,
     idempotents,
+    is_abundant,
+    starred_relation,
     validate_table,
 )
 from conftest import (
@@ -568,6 +572,7 @@ def test_outgoing_and_cor_ideal_memo(name):
         # memos are not fields of a copy
         copy = dataclasses.replace(c)
         assert copy._outgoing is None and copy._cor == {} and copy._flags == {}
+        assert copy._cf == {} and copy._object_of is None
 
 
 # --- CC4 over the seeds of <c0> against the full walk ----------------------
@@ -842,3 +847,74 @@ def test_full_transformation_closed_forms(n, left, right):
 def test_full_transformation_closed_forms_t4():
     # Bell(4) = 15 partitions and 2^4 - 1 = 15 non-empty subsets
     assert_full_transformation_counts(4, (15, 3283), (15, 2184))
+
+
+# --- one home per derived fact -----------------------------------------------
+
+@pytest.mark.parametrize("mode", [PRINCIPAL_ONLY, EPSILON_STAR_U])
+def test_each_morphism_is_factored_once(mode, monkeypatch):
+    # consistent_factorisation memoises its result, so building Omega-S and
+    # checking CC1-CC6 on both sides runs the semigroup route once per
+    # (category, morphism); the calls hold their category, so ids stay unique
+    from concordia.crossconn import build_omega_s
+    calls = []
+    route = categories._semigroup_consistent_parts
+
+    def counted(c, m):
+        calls.append((c, m))
+        return route(c, m)
+
+    monkeypatch.setattr(categories, "_semigroup_consistent_parts", counted)
+    sources = [presets.preset(name) for name in SMALL_PRESETS]
+    for s in sources + [validate_table(NONREGULAR_CONCORDANT)]:
+        omega = build_omega_s(s, mode)
+        assert check_consistent_axioms(omega.C).ok and check_consistent_axioms(omega.D).ok
+    twice = [key for key, n in Counter((id(c), m) for c, m in calls).items() if n > 1]
+    assert len(calls) > 0
+    assert twice == []
+
+
+def object_of_class_scan(c, x):
+    """Reference: the first object whose idempotent is L-related to x."""
+    l = green_classes(c.semigroup).l
+    for a in c.objects:
+        if l.partition[c.object_idem[a]] == l.partition[x]:
+            return a
+    return None
+
+
+def starred_witness_scan(s, side, u):
+    """Reference: the least idempotent in the R*-class (side RIGHT) or the
+    L*-class (side LEFT) of u, or None."""
+    es = set(idempotents(s))
+    wits = [g for g in starred_relation(s, side).class_of(u) if g in es]
+    return min(wits) if wits else None
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS)
+def test_object_map_and_witnesses_match_scans(name):
+    s = presets.preset(name)
+    for side in (LEFT, RIGHT):
+        c = build_ideal_category(s, side)
+        base = c.semigroup
+        ab = is_abundant(base)
+        scan = [object_of_class_scan(c, x) for x in base.elements]
+        for x in base.elements:
+            assert c.object_of[x] == scan[x]
+            if scan[x] is None:
+                with pytest.raises(MorphismNotInCategory):
+                    object_of_idempotent(c, x)
+            else:
+                assert object_of_idempotent(c, x) == scan[x]
+            assert ab.dagger[x] == starred_witness_scan(base, RIGHT, x)
+            assert ab.star[x] == starred_witness_scan(base, LEFT, x)
+        found = 0
+        for e in base.elements:
+            for u in base.elements:
+                for f in base.elements:
+                    a, b = scan[e], scan[f]
+                    want = None if a is None or b is None else c.triple_index.get(
+                        (a, b, base.mul(c.object_idem[a], u)))
+                    assert locate_triple(c, e, u, f) == want
+                    found += want is not None
+        assert found >= c.n_morphisms

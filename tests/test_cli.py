@@ -157,6 +157,17 @@ def test_usage_errors_exit_1(argv, why, capsys):
     assert err.startswith("parse error: concordia") and why in err
 
 
+@pytest.mark.parametrize("command", [
+    ["gen"], ["analyze"], ["roundtrip"], ["export", "--what", "eggbox"]])
+@pytest.mark.parametrize("spec", [
+    "bogus", "cyclic:x", "cyclic:0", "direct-product:cyclic:2"])
+def test_bad_preset_is_a_parse_error(command, spec, capsys):
+    # unknown name, non-integer parameter, parameter out of range, one factor
+    code, out, err = run(command + ["--preset", spec], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("parse error: ") and spec in err
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search", "--help"])

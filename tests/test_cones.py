@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from concordia import presets
-from concordia.categories import build_ideal_category, morphism_flags
+from concordia.categories import build_ideal_category, locate_triple, morphism_flags
 from concordia.cones import (
     EPSILON_STAR_U,
     FULL_ENUMERATION,
@@ -29,6 +31,7 @@ from concordia.semigroups import (
     idempotents,
     is_concordant,
     is_regular,
+    starred_relation,
     validate_table,
 )
 from conftest import SMALL_PRESETS, NONREGULAR_CONCORDANT, concordant_classes
@@ -41,11 +44,11 @@ def setup(name, side=LEFT):
 
 def test_principal_cones_sl2():
     s, c = setup("semilattice-chain:2")
-    pc1 = principal_cone(s, c, 1)
+    pc1 = principal_cone(c, 1)
     assert pc1.vertex == 1
     assert [c.label(m) for m in pc1.components] == ["rho(0,0,1)", "rho(1,1,1)"]
     assert cone_flags(c, pc1).idempotent
-    pc0 = principal_cone(s, c, 0)
+    pc0 = principal_cone(c, 0)
     assert pc0.vertex == 0 and cone_flags(c, pc0).idempotent
 
 
@@ -53,7 +56,7 @@ def test_principal_cones_sl2():
 def test_principal_cone_of_idempotent_is_identity_cone(name):
     s, c = setup(name)
     for e in idempotents(s):
-        cone = principal_cone(s, c, e)
+        cone = principal_cone(c, e)
         assert cone.components[cone.vertex] == c.identities[cone.vertex]
 
 
@@ -62,14 +65,45 @@ def test_principal_cone_needs_abundance():
     s = presets.monogenic(2, 2)
     c = build_ideal_category(s, LEFT)
     with pytest.raises(NotAbundant):
-        principal_cone(s, c, 0)  # element a has no idempotent in L*_a
+        principal_cone(c, 0)  # element a has no idempotent in L*_a
+
+
+def principal_cone_scan(c, a):
+    """Reference: rho^a with a* found by a search of the L*-class of a."""
+    from concordia.semigroups import NotAbundant
+    base = c.semigroup
+    es = set(idempotents(base))
+    wits = [e for e in starred_relation(base, LEFT).class_of(a) if e in es]
+    if not wits:
+        raise NotAbundant(f"element {base.name(a)} has no idempotent in its L*-class")
+    f = min(wits)
+    vertex = next(v for v in c.objects
+                  if green_classes(base).l.same(c.object_idem[v], f))
+    return Cone(vertex, tuple(locate_triple(c, e, base.mul(e, a), f)
+                              for e in c.object_idem))
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS + ("monogenic:2,2",))
+def test_principal_cone_matches_witness_scan(name):
+    from concordia.semigroups import NotAbundant
+    s = presets.preset(name)
+    for side in (LEFT, RIGHT):
+        c = build_ideal_category(s, side)
+        for a in s.elements:
+            try:
+                want = principal_cone_scan(c, a)
+            except NotAbundant as exc:
+                with pytest.raises(NotAbundant, match=re.escape(str(exc))):
+                    principal_cone(c, a)
+            else:
+                assert principal_cone(c, a) == want
 
 
 @pytest.mark.parametrize("name", SMALL_PRESETS)
 def test_principal_cones_form_homomorphism(name):
     # rho^a . rho^b = rho^(ab), exhaustively
     s, c = setup(name)
-    cones = {a: principal_cone(s, c, a) for a in s.elements}
+    cones = {a: principal_cone(c, a) for a in s.elements}
     for a in s.elements:
         for b in s.elements:
             assert compose_cones(c, cones[a], cones[b]) == cones[s.mul(a, b)]
@@ -83,8 +117,8 @@ def test_compose_idempotent_cone_selfidentity():
 
 def test_sl2_rho1_rho0():
     s, c = setup("semilattice-chain:2")
-    assert compose_cones(c, principal_cone(s, c, 1), principal_cone(s, c, 0)) \
-        == principal_cone(s, c, 0)
+    assert compose_cones(c, principal_cone(c, 1), principal_cone(c, 0)) \
+        == principal_cone(c, 0)
 
 
 def test_cone_semigroup_z3_is_z3():
@@ -187,8 +221,8 @@ def test_cone_semigroup_concordant(name):
 def test_h_functor_sl2():
     s, c = setup("semilattice-chain:2")
     cs = build_cone_semigroup(c, EPSILON_STAR_U)
-    rho1 = cs.index[principal_cone(s, c, 1)]
-    rho0 = cs.index[principal_cone(s, c, 0)]
+    rho1 = cs.index[principal_cone(c, 1)]
+    rho0 = cs.index[principal_cone(c, 0)]
     h = h_functor(cs, rho1)
     # H(eps;c) = {eps * f-degree : f in hom(c_eps, c)}, and representability
     # forces |H(eps;c)| = |hom(c_eps,c)|
@@ -261,7 +295,7 @@ def test_joint_principal_pair_injective_when_weakly_reductive(name):
     assert is_weakly_reductive(s)
     cl = build_ideal_category(s, LEFT)
     cr = build_ideal_category(s, RIGHT)
-    pairs = {(principal_cone(s, cl, a), principal_cone(s.op(), cr, a))
+    pairs = {(principal_cone(cl, a), principal_cone(cr, a))
              for a in s.elements}
     assert len(pairs) == s.order
 
@@ -301,7 +335,7 @@ def test_abstract_ingestion_reproduces_cone_semigroup(name):
 
 def test_is_cone_rejects_bad_component_endpoints():
     s, c = setup("semilattice-chain:2")
-    good = principal_cone(s, c, 1)
+    good = principal_cone(c, 1)
     assert is_cone(c, good)
     # component at object 1 must land at the vertex 0, not at 1
     bad = Cone(0, (c.identities[0], c.identities[1]))

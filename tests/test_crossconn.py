@@ -7,6 +7,7 @@ from concordia.categories import build_ideal_category, morphism_flags
 from concordia.cones import EPSILON_STAR_U, PRINCIPAL_ONLY, build_cone_semigroup, h_functor
 from concordia.crossconn import (
     CCMorphism,
+    CertificateFailure,
     FunctorData,
     MAxiomViolation,
     NotConcordant,
@@ -27,6 +28,7 @@ from concordia.crossconn import (
     restrict_to_normal,
     transpose,
     validate_cc_morphism,
+    _gamma_functor,
 )
 from concordia.semigroups import (
     LEFT,
@@ -54,8 +56,8 @@ def test_build_dual_sl2():
     # anti-isomorphic hom counts: |dual(eps C, eps' C)| = |C(c_eps', c_eps)|
     for o1 in dual.base.objects:
         for o2 in dual.base.objects:
-            v1 = cs.cones[dual.rep[o1]].vertex
-            v2 = cs.cones[dual.rep[o2]].vertex
+            v1 = cs.cones[dual.base.object_idem[o1]].vertex
+            v2 = cs.cones[dual.base.object_idem[o2]].vertex
             assert len(dual.base.hom(o1, o2)) == len(c.hom(v2, v1))
 
 
@@ -73,7 +75,34 @@ def test_dual_gamma_tilde_identity():
     dual = build_dual(cs)
     for o in dual.base.objects:
         assert dual.gamma_tilde[dual.base.identities[o]] == \
-            c.identities[cs.cones[dual.rep[o]].vertex]
+            c.identities[cs.cones[dual.base.object_idem[o]].vertex]
+
+
+@pytest.mark.parametrize("name", ["full-transformation:2", "brandt-b2"])
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_gamma_refuses_a_changed_nat(name, side):
+    # Gamma_S (side LEFT) and Delta_S (side RIGHT) take the FS image of each
+    # morphism and compare its nat with the conjugated action; one changed
+    # value in the nat of any image they hit must be refused
+    s = presets.preset(name)
+    c = build_ideal_category(s, side)
+    d = build_ideal_category(s, RIGHT if side == LEFT else LEFT)
+    dual_c = build_dual(build_cone_semigroup(c, PRINCIPAL_ONLY))
+    args = (d, dual_c, "Gamma_S", "FS_rho . G->")
+    images = _gamma_functor(*args).morphisms
+    n_cones = dual_c.cone_semigroup.order
+    assert n_cones > 1
+    for image in sorted(set(images.values())):
+        kept = dual_c.nat[image]
+        obj = next(o for o, step in enumerate(kept) if step)
+        changed = dict(kept[obj])
+        gid = min(changed)
+        changed[gid] = (changed[gid] + 1) % n_cones
+        dual_c.nat[image] = kept[:obj] + (changed,) + kept[obj + 1:]
+        with pytest.raises(CertificateFailure, match="Gamma_S does not factor as FS_rho"):
+            _gamma_functor(*args)
+        dual_c.nat[image] = kept
+    assert _gamma_functor(*args).morphisms == images
 
 
 def test_omega_z3():
@@ -123,8 +152,8 @@ def test_gamma_cd_sl2():
     from concordia.cones import principal_cone
     s, omega, _ = omega_bundle("semilattice-chain:2")
     c = omega.C
-    assert omega.cs_c.cones[gamma_cd(omega, (1, 1))] == principal_cone(s, c, 1)
-    assert omega.cs_c.cones[gamma_cd(omega, (0, 0))] == principal_cone(s, c, 0)
+    assert omega.cs_c.cones[gamma_cd(omega, (1, 1))] == principal_cone(c, 1)
+    assert omega.cs_c.cones[gamma_cd(omega, (0, 0))] == principal_cone(c, 0)
     with pytest.raises(PairNotInEOmega):
         gamma_cd(omega, (0, 1))
 

@@ -86,7 +86,7 @@ def unique_idempotent_cone_scan(dual, obj, vertex):
     every idempotent cone at the vertex."""
     cs = dual.cone_semigroup
     c = cs.category
-    eps = cs.cones[dual.rep[obj]]
+    eps = cs.cones[dual.base.object_idem[obj]]
     flags = morphism_flags(c, eps.components[vertex])
     if not flags.isomorphism:
         raise PairNotInEOmega(f"component at object {vertex} is not an isomorphism")
@@ -137,7 +137,7 @@ def assert_generators(c):
 
 
 def assert_fast_matches_reference(dual):
-    c, base, hs, nat = dual.underlying, dual.base, dual.h, dual.nat
+    c, base, hs, nat = dual.cone_semigroup.category, dual.base, dual.h, dual.nat
     cs = dual.cone_semigroup
     for cat in (c, base):
         assert_generators(cat)
@@ -232,7 +232,7 @@ def test_fast_checks_match_reference_on_corruptions(name, mode):
             failures[fast.__name__] = failures.get(fast.__name__, 0) + 1
 
     for dual in duals(semigroup(name), mode):
-        c, base, hs, nat = dual.underlying, dual.base, dual.h, dual.nat
+        c, base, hs, nat = dual.cone_semigroup.category, dual.base, dual.h, dual.nat
         cs = dual.cone_semigroup
         for i in cs.idempotent_ids():
             for maps in corrupted_maps(c, h_functor(cs, i)):
