@@ -104,6 +104,7 @@ class SubobjectCategory:
     _incoming: Optional[dict] = field(default=None, init=False, repr=False)
     _generators: Optional[tuple] = field(default=None, init=False, repr=False)
     _cor: dict = field(default_factory=dict, init=False, repr=False)
+    _idempotent_cones: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def n_morphisms(self) -> int:
@@ -788,9 +789,47 @@ class AxiomReport:
                 + (f"  [{self.witnesses[name]}]" if name in self.witnesses else "")
                 for name, v in self.axioms.items()]
 
+    def record(self, name: str, check: Callable[[], Optional[str]]) -> None:
+        """Run one axiom's check, which returns None when the axiom holds and
+        its witness text when it fails, and record the verdict under name.  A
+        `MorphismNotInCategory` the check raises (two morphisms of a corrupted
+        table that do not meet) is a FAIL with the message as witness."""
+        try:
+            witness = check()
+        except MorphismNotInCategory as exc:
+            witness = str(exc)
+        self.axioms[name] = witness is None
+        if witness is not None:
+            self.witnesses[name] = witness
+
+
+def _cc1(c: SubobjectCategory) -> Optional[str]:
+    """CC1 (and NC1): the category and subobject axioms of `validate_category`."""
+    try:
+        validate_category(c)
+    except CategoryError as exc:
+        return str(exc)
+
+
+def _cc2(c: SubobjectCategory) -> Optional[str]:
+    """CC2 (and NC2): every inclusion splits."""
+    for (a, b), j in sorted(c.inclusions.items()):
+        if not any(c.compose(j, q) == c.identities[a] for q in c.hom(b, a)):
+            return f"inclusion {c.label(j)} does not split"
+
+
+def _cc6(c: SubobjectCategory, kind: str) -> Optional[str]:
+    """CC6 (kind "consistent") and NC4 (kind "normal"): every object is the
+    vertex of an idempotent cone."""
+    from .cones import idempotent_cones_by_vertex
+    cone_sets = idempotent_cones_by_vertex(c)
+    for v in c.objects:
+        if not cone_sets.get(v):
+            return f"object {c.object_label(v)} has no idempotent {kind} cone"
+
 
 def check_consistent_axioms(c: SubobjectCategory) -> AxiomReport:
-    """CC1..CC6 with witnesses.
+    """CC1..CC6 with witnesses, each recorded by `AxiomReport.record`.
 
     CC6 needs idempotent cones: `idempotent_cones_by_vertex` enumerates them
     within its budget, or takes the principal cones when the category comes
@@ -800,19 +839,7 @@ def check_consistent_axioms(c: SubobjectCategory) -> AxiomReport:
     check then composes it with a morphism it does not meet fails with the
     `MorphismNotInCategory` message as its witness.
     """
-    axioms: dict = {}
-    witnesses: dict = {}
-
-    def cc1():
-        try:
-            validate_category(c)
-        except CategoryError as exc:
-            return str(exc)
-
-    def cc2():
-        for (a, b), j in sorted(c.inclusions.items()):
-            if not any(c.compose(j, q) == c.identities[a] for q in c.hom(b, a)):
-                return f"inclusion {c.label(j)} does not split"
+    report = AxiomReport({}, {})
 
     def cc3():
         for m in c.morphisms:
@@ -824,8 +851,8 @@ def check_consistent_axioms(c: SubobjectCategory) -> AxiomReport:
 
     def cc4():
         # is_consistent_bimorphism assumes CC1
-        if not axioms["CC3"] or not axioms["CC1"]:
-            return f"skipped: {'CC3' if not axioms['CC3'] else 'CC1'} failed"
+        if not report.axioms["CC3"] or not report.axioms["CC1"]:
+            return f"skipped: {'CC3' if not report.axioms['CC3'] else 'CC1'} failed"
         for m in c.morphisms:
             if morphism_flags(c, m).bimorphism and not is_consistent_bimorphism(c, m)[0]:
                 return f"bimorphism {c.label(m)} is not consistent"
@@ -837,23 +864,13 @@ def check_consistent_axioms(c: SubobjectCategory) -> AxiomReport:
                         and normal_factorisation(c, c.compose(j, q)) is None):
                     return f"{c.label(j)} . {c.label(q)} admits no normal factorisation"
 
-    def cc6():
-        from .cones import idempotent_cones_by_vertex
-        cone_sets = idempotent_cones_by_vertex(c)
-        for v in c.objects:
-            if not cone_sets.get(v):
-                return f"object {c.object_label(v)} has no idempotent consistent cone"
-
-    for name, check in (("CC1", cc1), ("CC2", cc2), ("CC3", cc3),
-                        ("CC4", cc4), ("CC5", cc5), ("CC6", cc6)):
-        try:
-            witness = check()
-        except MorphismNotInCategory as exc:
-            witness = str(exc)
-        axioms[name] = witness is None
-        if witness is not None:
-            witnesses[name] = witness
-    return AxiomReport(axioms, witnesses)
+    report.record("CC1", lambda: _cc1(c))
+    report.record("CC2", lambda: _cc2(c))
+    report.record("CC3", cc3)
+    report.record("CC4", cc4)
+    report.record("CC5", cc5)
+    report.record("CC6", lambda: _cc6(c, "consistent"))
+    return report
 
 
 def restrict_morphisms(c: SubobjectCategory, keep) -> SubobjectCategory:
@@ -913,39 +930,18 @@ def normal_subcategory(c: SubobjectCategory) -> SubobjectCategory:
 
 
 def check_normal_axioms(c: SubobjectCategory) -> AxiomReport:
-    """NC1..NC4 for a (candidate) normal category."""
-    axioms: dict = {}
-    witnesses: dict = {}
-    try:
-        validate_category(c)
-        axioms["NC1"] = True
-    except CategoryError as exc:
-        axioms["NC1"] = False
-        witnesses["NC1"] = str(exc)
+    """NC1..NC4 for a (candidate) normal category, recorded as the CC report
+    is: NC1, NC2 and NC4 are the checks of CC1, CC2 and CC6 (the last naming
+    a normal cone), and NC3 asks every morphism for a normal factorisation."""
+    report = AxiomReport({}, {})
 
-    nc2 = True
-    for (a, b), j in sorted(c.inclusions.items()):
-        if not any(c.compose(j, q) == c.identities[a] for q in c.hom(b, a)):
-            nc2 = False
-            witnesses["NC2"] = f"inclusion {c.label(j)} does not split"
-            break
-    axioms["NC2"] = nc2
+    def nc3():
+        for m in c.morphisms:
+            if normal_factorisation(c, m) is None:
+                return f"{c.label(m)} has no normal factorisation"
 
-    nc3 = True
-    for m in c.morphisms:
-        if normal_factorisation(c, m) is None:
-            nc3 = False
-            witnesses["NC3"] = f"{c.label(m)} has no normal factorisation"
-            break
-    axioms["NC3"] = nc3
-
-    nc4 = True
-    from .cones import idempotent_cones_by_vertex
-    cone_sets = idempotent_cones_by_vertex(c)
-    for v in c.objects:
-        if not cone_sets.get(v):
-            nc4 = False
-            witnesses["NC4"] = f"object {c.object_label(v)} has no idempotent normal cone"
-            break
-    axioms["NC4"] = nc4
-    return AxiomReport(axioms, witnesses)
+    report.record("NC1", lambda: _cc1(c))
+    report.record("NC2", lambda: _cc2(c))
+    report.record("NC3", nc3)
+    report.record("NC4", lambda: _cc6(c, "normal"))
+    return report

@@ -51,8 +51,12 @@ def _load_semigroup(args):
     if args.preset:
         return _preset(args.preset)
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return ser.semigroup_from_json(json.load(fh))
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ser.ParseError(f"--input {args.input}: {exc}") from exc
+        return ser.semigroup_from_json(doc)
     raise ser.ParseError("one of --input or --preset is required")
 
 

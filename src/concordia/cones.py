@@ -164,11 +164,18 @@ def _cones_with_vertex(c: SubobjectCategory, v: int, idempotent_only: bool,
     return out
 
 
-def enumerate_idempotent_cones(c: SubobjectCategory, budget: Optional[int] = None) -> list:
-    out = []
-    for v in c.objects:
-        out.extend(_cones_with_vertex(c, v, idempotent_only=True, budget=budget))
-    return sorted(set(out), key=lambda k: (k.vertex, k.components))
+def enumerate_idempotent_cones(c: SubobjectCategory, budget: Optional[int] = None) -> tuple:
+    """The idempotent cones of c, sorted by vertex and components.
+
+    Memoised on the category, so the epsilon-mode cone semigroup and CC6/NC4
+    share one enumeration; a later call returns the memo whatever its budget.
+    A `BudgetExceeded` is not memoised."""
+    if c._idempotent_cones is None:
+        out = []
+        for v in c.objects:
+            out.extend(_cones_with_vertex(c, v, idempotent_only=True, budget=budget))
+        c._idempotent_cones = tuple(sorted(set(out), key=lambda k: (k.vertex, k.components)))
+    return c._idempotent_cones
 
 
 def enumerate_consistent_cones(c: SubobjectCategory, budget: Optional[int] = None) -> list:
@@ -215,7 +222,7 @@ class ConeSemigroup:
     table: FiniteSemigroup
     index: dict
     principal_of: Optional[dict] = None  # base element -> cone id
-    _h_cache: Optional[dict] = None
+    _h_cache: dict = field(default_factory=dict, init=False, repr=False)
     _by_functor: Optional[dict] = field(default=None, init=False, repr=False)
 
     @property
@@ -393,8 +400,6 @@ class HFunctor:
 
 
 def h_functor(cs: ConeSemigroup, eps_id: int) -> HFunctor:
-    if cs._h_cache is None:
-        cs._h_cache = {}
     if eps_id in cs._h_cache:
         return cs._h_cache[eps_id]
     c = cs.category

@@ -152,14 +152,6 @@ def build_icc(omega: CrossConnection, somega: Optional[SOmega] = None) -> Induct
         restriction, corestriction, distinguished)
 
 
-def _omega_r(icc: InductiveCategory, i: int, j: int) -> bool:
-    return (icc.objects[i][1], icc.objects[j][1]) in icc.omega.D.leq
-
-
-def _omega_l(icc: InductiveCategory, i: int, j: int) -> bool:
-    return (icc.objects[i][0], icc.objects[j][0]) in icc.omega.C.leq
-
-
 def _singular_squares(icc: InductiveCategory):
     """E-squares (e f; g h) with rows R-related and columns L-related,
     singularised by an idempotent in one of the four orientations."""
@@ -204,245 +196,186 @@ def _singular_squares(icc: InductiveCategory):
 
 def check_icc_axioms(icc: InductiveCategory) -> AxiomReport:
     """OCC1-OCC5, the distinguished-morphism laws, ICC1 (and its dual) and
-    ICC2, checked exhaustively over the finite data."""
-    axioms = {}
-    witnesses = {}
-    c = icc.omega.C
+    ICC2, checked exhaustively over the finite data, each recorded by
+    `AxiomReport.record`.
 
-    axioms["OCC1"] = True
-    for m, (i, j, u) in enumerate(icc.morphisms):
-        if not morphism_flags(c, u).bimorphism:
-            axioms["OCC1"] = False
-            witnesses["OCC1"] = icc.label(m)
-            break
-
-    # partial order sanity: reflexive, antisymmetric, transitive
-    ok = all((m, m) in icc.order for m in range(len(icc.morphisms)))
-    # above[b] lists the e with b <= e in the iteration order of the order,
-    # so the witnesses come out as a scan of all pairs (b2, e) gives them
-    above: dict = {}
-    for (b, e) in icc.order:
-        above.setdefault(b, []).append(e)
-    for (a, b) in icc.order:
-        if (b, a) in icc.order and a != b:
-            ok = False
-            witnesses["order"] = f"antisymmetry fails on {a},{b}"
-        for e in above.get(b, ()):
-            if (a, e) not in icc.order:
-                ok = False
-                witnesses["order"] = f"transitivity fails via {a},{b},{e}"
-    axioms["order"] = ok
-
-    # omega coincides with <= on objects, and E_Omega is a regular biordered set
+    Each check names its first failure, except `order`,
+    `order_matches_omega` and `DIST_ii`, which scan on and name their last;
+    an `order` failure of reflexivity alone names its first morphism."""
+    report = AxiomReport({}, {})
+    c, n = icc.omega.C, icc.n_objects
+    objects, element, morphisms = icc.objects, icc.element, icc.morphisms
     fs = icc.somega.semigroup
     bo = biorder(fs)
     omega_pairs = bo.omega_pairs()
-    ok = True
-    for i in range(icc.n_objects):
-        for j in range(icc.n_objects):
-            le = (icc.identity[i], icc.identity[j]) in icc.order
-            om = (icc.element[i], icc.element[j]) in omega_pairs
-            if le != om or le != ((i, j) in icc.obj_leq):
-                ok = False
-                witnesses["order_matches_omega"] = f"objects {i},{j}"
-    axioms["order_matches_omega"] = ok
-    axioms["E_regular_biordered"] = bo.regular
-    if not bo.regular:
-        witnesses["E_regular_biordered"] = "some sandwich set is empty"
+    dist = icc.distinguished
+    obj_of: dict = {}  # element -> the first object whose idempotent it is
+    for k, x in enumerate(element):
+        obj_of.setdefault(x, k)
 
-    # the order pairs (v, y) by the domains of v and y, in the iteration
-    # order of the order, so the witness is the one a scan of all pairs of
-    # pairs gives
-    by_domains: dict = {}
-    for (v, y) in icc.order:
-        key = (icc.morphisms[v][0], icc.morphisms[y][0])
-        by_domains.setdefault(key, []).append((v, y))
-    ok = True
-    for (u, x) in icc.order:
-        for (v, y) in by_domains.get((icc.morphisms[u][1], icc.morphisms[x][1]), ()):
-            if (icc.compose[(u, v)], icc.compose[(x, y)]) not in icc.order:
-                ok = False
-                witnesses["OCC2"] = f"{icc.label(u)},{icc.label(v)}"
-                break
-        if not ok:
-            break
-    axioms["OCC2"] = ok
+    def occ1():
+        for m, (i, j, u) in enumerate(morphisms):
+            if not morphism_flags(c, u).bimorphism:
+                return icc.label(m)
 
-    ok = True
-    for (x, y) in icc.order:
-        ix, jx = icc.morphisms[x][:2]
-        iy, jy = icc.morphisms[y][:2]
-        if (icc.identity[ix], icc.identity[iy]) not in icc.order or \
-                (icc.identity[jx], icc.identity[jy]) not in icc.order:
-            ok = False
-            witnesses["OCC3"] = f"{icc.label(x)} <= {icc.label(y)}"
-            break
-    axioms["OCC3"] = ok
+    def order():
+        # partial order sanity: reflexive, antisymmetric, transitive
+        witness = next((f"reflexivity fails at {m}" for m in range(len(morphisms))
+                        if (m, m) not in icc.order), None)
+        # above[b] lists the e with b <= e in the iteration order of the order,
+        # so the witnesses come out as a scan of all pairs (b2, e) gives them
+        above: dict = {}
+        for (b, e) in icc.order:
+            above.setdefault(b, []).append(e)
+        for (a, b) in icc.order:
+            if (b, a) in icc.order and a != b:
+                witness = f"antisymmetry fails on {a},{b}"
+            for e in above.get(b, ()):
+                if (a, e) not in icc.order:
+                    witness = f"transitivity fails via {a},{b},{e}"
+        return witness
+
+    def order_matches_omega():
+        # omega coincides with <= on objects
+        witness = None
+        for i in range(n):
+            for j in range(n):
+                le = (icc.identity[i], icc.identity[j]) in icc.order
+                om = (element[i], element[j]) in omega_pairs
+                if le != om or le != ((i, j) in icc.obj_leq):
+                    witness = f"objects {i},{j}"
+        return witness
+
+    def occ2():
+        # the order pairs (v, y) by the domains of v and y, in its iteration
+        # order, so the witness is the one a scan of all pairs of pairs gives
+        by_domains: dict = {}
+        for (v, y) in icc.order:
+            by_domains.setdefault((morphisms[v][0], morphisms[y][0]), []).append((v, y))
+        for (u, x) in icc.order:
+            for (v, y) in by_domains.get((morphisms[u][1], morphisms[x][1]), ()):
+                if (icc.compose[(u, v)], icc.compose[(x, y)]) not in icc.order:
+                    return f"{icc.label(u)},{icc.label(v)}"
+
+    def occ3():
+        for (x, y) in icc.order:
+            ix, jx = morphisms[x][:2]
+            iy, jy = morphisms[y][:2]
+            if (icc.identity[ix], icc.identity[iy]) not in icc.order or \
+                    (icc.identity[jx], icc.identity[jy]) not in icc.order:
+                return f"{icc.label(x)} <= {icc.label(y)}"
 
     # below[m]: the m1 <= m, ascending
     below: dict = {}
     for (m1, m) in sorted(icc.order):
         below.setdefault(m, []).append(m1)
-    ok = True
-    for m in range(len(icc.morphisms)):
-        src = icc.morphisms[m][0]
-        for e in range(icc.n_objects):
-            if (e, src) not in icc.obj_leq:
-                continue
-            cands = [m1 for m1 in below.get(m, ())
-                     if icc.morphisms[m1][0] == e]
-            if len(cands) != 1 or cands[0] != icc.restriction[(e, m)]:
-                ok = False
-                witnesses["OCC4"] = f"restriction of {icc.label(m)} to object {e}"
-                break
-        if not ok:
-            break
-    axioms["OCC4"] = ok
 
-    ok = True
-    for m in range(len(icc.morphisms)):
-        dst = icc.morphisms[m][1]
-        for f in range(icc.n_objects):
-            if (f, dst) not in icc.obj_leq:
-                continue
-            cands = [m1 for m1 in below.get(m, ())
-                     if icc.morphisms[m1][1] == f]
-            if len(cands) != 1 or cands[0] != icc.corestriction[(m, f)]:
-                ok = False
-                witnesses["OCC5"] = f"corestriction of {icc.label(m)} to object {f}"
-                break
-        if not ok:
-            break
-    axioms["OCC5"] = ok
-
-    # distinguished morphism laws
-    ok = all(icc.distinguished[(i, i)] == icc.identity[i]
-             for i in range(icc.n_objects))
-    if not ok:
-        witnesses["DIST_i"] = "[e,e] != 1_e"
-    axioms["DIST_i"] = ok
-
-    ok = True
-    for (i, j) in icc.distinguished:
-        for (j2, k) in icc.distinguished:
-            if j2 != j or (i, k) not in icc.distinguished:
-                continue
-            same_r = (icc.objects[i][1] == icc.objects[j][1] == icc.objects[k][1])
-            same_l = (icc.objects[i][0] == icc.objects[j][0] == icc.objects[k][0])
-            if not (same_r or same_l):
-                continue
-            lhs = icc.compose[(icc.distinguished[(i, j)], icc.distinguished[(j, k)])]
-            if lhs != icc.distinguished[(i, k)]:
-                ok = False
-                witnesses["DIST_ii"] = f"[{i},{j}][{j},{k}] != [{i},{k}]"
-    axioms["DIST_ii"] = ok
-
-    ok = True
-    fs = icc.somega.semigroup
-    for (g, h) in icc.distinguished:
-        for e in range(icc.n_objects):
-            if (icc.element[e], icc.element[g]) not in omega_pairs:
-                continue
-            heh = fs.mul(fs.mul(icc.element[h], icc.element[e]), icc.element[h])
-            fobj = [k for k, x in enumerate(icc.element) if x == heh]
-            if len(fobj) != 1 or (e, fobj[0]) not in icc.distinguished:
-                ok = False
-                witnesses["DIST_iii"] = f"[e,heh] missing for e={e}, [g,h]=({g},{h})"
-                break
-            if (icc.distinguished[(e, fobj[0])], icc.distinguished[(g, h)]) \
-                    not in icc.order:
-                ok = False
-                witnesses["DIST_iii"] = f"[e,f] !<= [g,h] for e={e}, ({g},{h})"
-                break
-        if not ok:
-            break
-    axioms["DIST_iii"] = ok
-
-    def obj_of_elt(x):
-        for k, e in enumerate(icc.element):
-            if e == x:
-                return k
-        return None
-
-    ok = True
-    for m in range(len(icc.morphisms)):
-        src, dst = icc.morphisms[m][:2]
-        subs = [e for e in range(icc.n_objects) if (e, src) in icc.obj_leq]
-        for e1 in subs:
-            for e2 in subs:
-                if not _omega_r(icc, e1, e2):
+    def occ45(end):
+        # OCC4 (end 0): m has one restriction to each object below its domain;
+        # OCC5 (end 1): one corestriction to each object below its codomain
+        table, what = ((icc.restriction, "restriction") if end == 0
+                       else (icc.corestriction, "corestriction"))
+        for m, ends in enumerate(morphisms):
+            for e in range(n):
+                if (e, ends[end]) not in icc.obj_leq:
                     continue
-                f1 = icc.morphisms[icc.restriction[(e1, m)]][1]
-                f2 = icc.morphisms[icc.restriction[(e2, m)]][1]
-                if not _omega_r(icc, f1, f2):
-                    ok = False
-                    witnesses["ICC1"] = f"f1 not omega-r f2 at {icc.label(m)}"
-                    break
-                e12 = obj_of_elt(fs.mul(icc.element[e1], icc.element[e2]))
-                f12 = obj_of_elt(fs.mul(icc.element[f1], icc.element[f2]))
-                if e12 is None or f12 is None:
-                    ok = False
-                    witnesses["ICC1"] = "basic product left E_Omega"
-                    break
-                lhs = icc.compose[(icc.distinguished[(e1, e12)],
-                                   icc.restriction[(e12, m)])]
-                rhs = icc.compose[(icc.restriction[(e1, m)],
-                                   icc.distinguished[(f1, f12)])]
-                if lhs != rhs:
-                    ok = False
-                    witnesses["ICC1"] = f"{icc.label(m)} at e1={e1}, e2={e2}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    axioms["ICC1"] = ok
+                cands = [m1 for m1 in below.get(m, ()) if morphisms[m1][end] == e]
+                if len(cands) != 1 or cands[0] != table[(e, m) if end == 0 else (m, e)]:
+                    return f"{what} of {icc.label(m)} to object {e}"
 
-    ok = True
-    for m in range(len(icc.morphisms)):
-        src, dst = icc.morphisms[m][:2]
-        subs = [f for f in range(icc.n_objects) if (f, dst) in icc.obj_leq]
-        for e1 in subs:
-            for e2 in subs:
-                if not _omega_l(icc, e1, e2):
+    def dist_i():
+        if not all(dist[(i, i)] == icc.identity[i] for i in range(n)):
+            return "[e,e] != 1_e"
+
+    def dist_ii():
+        witness = None
+        for (i, j) in dist:
+            for (j2, k) in dist:
+                if j2 != j or (i, k) not in dist:
                     continue
-                f1 = icc.morphisms[icc.corestriction[(m, e1)]][0]
-                f2 = icc.morphisms[icc.corestriction[(m, e2)]][0]
-                if not _omega_l(icc, f1, f2):
-                    ok = False
-                    witnesses["ICC1_dual"] = f"f1 not omega-l f2 at {icc.label(m)}"
-                    break
-                e21 = obj_of_elt(fs.mul(icc.element[e2], icc.element[e1]))
-                f21 = obj_of_elt(fs.mul(icc.element[f2], icc.element[f1]))
-                if e21 is None or f21 is None:
-                    ok = False
-                    witnesses["ICC1_dual"] = "basic product left E_Omega"
-                    break
-                lhs = icc.compose[(icc.corestriction[(m, e21)],
-                                   icc.distinguished[(e21, e1)])]
-                rhs = icc.compose[(icc.distinguished[(f21, f1)],
-                                   icc.corestriction[(m, e1)])]
-                if lhs != rhs:
-                    ok = False
-                    witnesses["ICC1_dual"] = f"{icc.label(m)} at e1={e1}, e2={e2}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    axioms["ICC1_dual"] = ok
+                same_r = objects[i][1] == objects[j][1] == objects[k][1]
+                same_l = objects[i][0] == objects[j][0] == objects[k][0]
+                if not (same_r or same_l):
+                    continue
+                if icc.compose[(dist[(i, j)], dist[(j, k)])] != dist[(i, k)]:
+                    witness = f"[{i},{j}][{j},{k}] != [{i},{k}]"
+        return witness
 
-    ok = True
-    for (e, f, g, h) in _singular_squares(icc):
-        lhs = icc.compose[(icc.distinguished[(e, f)], icc.distinguished[(f, h)])]
-        rhs = icc.compose[(icc.distinguished[(e, g)], icc.distinguished[(g, h)])]
-        if lhs != rhs:
-            ok = False
-            witnesses["ICC2"] = f"square ({e},{f};{g},{h})"
-            break
-    axioms["ICC2"] = ok
+    def dist_iii():
+        for (g, h) in dist:
+            for e in range(n):
+                if (element[e], element[g]) not in omega_pairs:
+                    continue
+                heh = fs.mul(fs.mul(element[h], element[e]), element[h])
+                fobj = [k for k, x in enumerate(element) if x == heh]
+                if len(fobj) != 1 or (e, fobj[0]) not in dist:
+                    return f"[e,heh] missing for e={e}, [g,h]=({g},{h})"
+                if (dist[(e, fobj[0])], dist[(g, h)]) not in icc.order:
+                    return f"[e,f] !<= [g,h] for e={e}, ({g},{h})"
 
-    return AxiomReport(axioms, witnesses)
+    def icc1():
+        for m, (src, dst, _) in enumerate(morphisms):
+            subs = [e for e in range(n) if (e, src) in icc.obj_leq]
+            for e1 in subs:
+                for e2 in subs:
+                    if (objects[e1][1], objects[e2][1]) not in icc.omega.D.leq:
+                        continue
+                    f1 = morphisms[icc.restriction[(e1, m)]][1]
+                    f2 = morphisms[icc.restriction[(e2, m)]][1]
+                    if (objects[f1][1], objects[f2][1]) not in icc.omega.D.leq:
+                        return f"f1 not omega-r f2 at {icc.label(m)}"
+                    e12 = obj_of.get(fs.mul(element[e1], element[e2]))
+                    f12 = obj_of.get(fs.mul(element[f1], element[f2]))
+                    if e12 is None or f12 is None:
+                        return "basic product left E_Omega"
+                    lhs = icc.compose[(dist[(e1, e12)], icc.restriction[(e12, m)])]
+                    rhs = icc.compose[(icc.restriction[(e1, m)], dist[(f1, f12)])]
+                    if lhs != rhs:
+                        return f"{icc.label(m)} at e1={e1}, e2={e2}"
+
+    def icc1_dual():
+        for m, (src, dst, _) in enumerate(morphisms):
+            subs = [f for f in range(n) if (f, dst) in icc.obj_leq]
+            for e1 in subs:
+                for e2 in subs:
+                    if (objects[e1][0], objects[e2][0]) not in icc.omega.C.leq:
+                        continue
+                    f1 = morphisms[icc.corestriction[(m, e1)]][0]
+                    f2 = morphisms[icc.corestriction[(m, e2)]][0]
+                    if (objects[f1][0], objects[f2][0]) not in icc.omega.C.leq:
+                        return f"f1 not omega-l f2 at {icc.label(m)}"
+                    e21 = obj_of.get(fs.mul(element[e2], element[e1]))
+                    f21 = obj_of.get(fs.mul(element[f2], element[f1]))
+                    if e21 is None or f21 is None:
+                        return "basic product left E_Omega"
+                    lhs = icc.compose[(icc.corestriction[(m, e21)], dist[(e21, e1)])]
+                    rhs = icc.compose[(dist[(f21, f1)], icc.corestriction[(m, e1)])]
+                    if lhs != rhs:
+                        return f"{icc.label(m)} at e1={e1}, e2={e2}"
+
+    def icc2():
+        for (e, f, g, h) in _singular_squares(icc):
+            if icc.compose[(dist[(e, f)], dist[(f, h)])] != \
+                    icc.compose[(dist[(e, g)], dist[(g, h)])]:
+                return f"square ({e},{f};{g},{h})"
+
+    report.record("OCC1", occ1)
+    report.record("order", order)
+    report.record("order_matches_omega", order_matches_omega)
+    # E_Omega is a regular biordered set
+    report.record("E_regular_biordered",
+                  lambda: None if bo.regular else "some sandwich set is empty")
+    report.record("OCC2", occ2)
+    report.record("OCC3", occ3)
+    report.record("OCC4", lambda: occ45(0))
+    report.record("OCC5", lambda: occ45(1))
+    report.record("DIST_i", dist_i)
+    report.record("DIST_ii", dist_ii)
+    report.record("DIST_iii", dist_iii)
+    report.record("ICC1", icc1)
+    report.record("ICC1_dual", icc1_dual)
+    report.record("ICC2", icc2)
+    return report
 
 
 @dataclass

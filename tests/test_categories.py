@@ -7,6 +7,7 @@ import pytest
 from concordia import categories, presets
 from concordia.categories import (
     AxiomFailure,
+    AxiomReport,
     CategoryError,
     MorphismNotInCategory,
     build_ideal_category,
@@ -26,7 +27,7 @@ from concordia.categories import (
     _cor_ideal_closure,
     _cor_ideal_morphisms,
 )
-from concordia.cones import EPSILON_STAR_U, PRINCIPAL_ONLY
+from concordia.cones import EPSILON_STAR_U, PRINCIPAL_ONLY, enumerate_idempotent_cones
 from concordia.semigroups import (
     LEFT,
     RIGHT,
@@ -570,9 +571,11 @@ def test_outgoing_and_cor_ideal_memo(name):
             assert memo == _cor_ideal_closure(c, a) == cor_ideal_scan(c, a)
             assert _cor_ideal_morphisms(c, a) is memo
         # memos are not fields of a copy
+        assert enumerate_idempotent_cones(c) is c._idempotent_cones
         copy = dataclasses.replace(c)
         assert copy._outgoing is None and copy._cor == {} and copy._flags == {}
         assert copy._cf == {} and copy._object_of is None
+        assert copy._idempotent_cones is None
 
 
 # --- CC4 over the seeds of <c0> against the full walk ----------------------
@@ -761,11 +764,12 @@ def test_from_parts_refuses_a_short_row():
 
 
 def test_cc_report_when_an_entry_has_wrong_endpoints():
-    # such an entry fails CC1, and an axiom whose check composes it with a
-    # morphism it does not meet fails with the MorphismNotInCategory message
-    # instead of raising
+    # such an entry fails CC1 and NC1, and an axiom whose check composes it
+    # with a morphism it does not meet fails with the MorphismNotInCategory
+    # message instead of raising; the NC loops replaced by the CC checks
+    # raised it on one of these
     c = abstract(lcat("full-transformation:2"))
-    reached = 0
+    reached, raised = 0, []
     for kind, bad in mutations(c):
         if kind != "endpoints":
             continue
@@ -774,7 +778,87 @@ def test_cc_report_when_an_entry_has_wrong_endpoints():
         assert all(rep.witnesses[name] for name, ok in rep.axioms.items() if not ok)
         assert len(rep.lines()) == 6
         reached += any("not composable" in w for w in rep.witnesses.values())
+        nc = check_normal_axioms(dataclasses.replace(bad))
+        assert nc.witnesses["NC1"].endswith("has wrong endpoints")
+        assert len(nc.lines()) == 4
+        try:
+            want = check_normal_axioms_reference(dataclasses.replace(bad))
+        except MorphismNotInCategory as exc:
+            raised.append(str(exc))
+            assert str(exc) in nc.witnesses.values()
+        else:
+            assert (nc.axioms, nc.witnesses) == (want.axioms, want.witnesses)
     assert reached > 0
+    assert raised == ["morphisms 0 and 5 are not composable"]
+
+
+def check_normal_axioms_reference(c):
+    """Reference: the NC battery as written before NC1, NC2 and NC4 became
+    the CC1, CC2 and CC6 checks, kept verbatim."""
+    axioms: dict = {}
+    witnesses: dict = {}
+    try:
+        validate_category(c)
+        axioms["NC1"] = True
+    except CategoryError as exc:
+        axioms["NC1"] = False
+        witnesses["NC1"] = str(exc)
+
+    nc2 = True
+    for (a, b), j in sorted(c.inclusions.items()):
+        if not any(c.compose(j, q) == c.identities[a] for q in c.hom(b, a)):
+            nc2 = False
+            witnesses["NC2"] = f"inclusion {c.label(j)} does not split"
+            break
+    axioms["NC2"] = nc2
+
+    nc3 = True
+    for m in c.morphisms:
+        if normal_factorisation(c, m) is None:
+            nc3 = False
+            witnesses["NC3"] = f"{c.label(m)} has no normal factorisation"
+            break
+    axioms["NC3"] = nc3
+
+    nc4 = True
+    from concordia.cones import idempotent_cones_by_vertex
+    cone_sets = idempotent_cones_by_vertex(c)
+    for v in c.objects:
+        if not cone_sets.get(v):
+            nc4 = False
+            witnesses["NC4"] = f"object {c.object_label(v)} has no idempotent normal cone"
+            break
+    axioms["NC4"] = nc4
+    return AxiomReport(axioms, witnesses)
+
+
+def nc_failures_match_reference(cats):
+    """The NC report equals the replaced loops' on each category, each run
+    on a fresh copy; returns how many reports fail."""
+    failing = 0
+    for c in cats:
+        got = check_normal_axioms(dataclasses.replace(c))
+        want = check_normal_axioms_reference(dataclasses.replace(c))
+        assert got.lines() == want.lines() and got.witnesses == want.witnesses
+        failing += not want.ok
+    return failing
+
+
+def test_nc_report_matches_reference():
+    # on L and R of every concordant class of order <= 4, on the normal
+    # subcategory of each preset and of the non-regular witness
+    cats = [c for table in concordant_classes(4) for c in both_sides(table)]
+    for s in [semigroup(name) for name in SMALL_PRESETS] + [
+            validate_table([list(r) for r in NONREGULAR_CONCORDANT])]:
+        cats += [normal_subcategory(build_ideal_category(s, side)) for side in (LEFT, RIGHT)]
+    assert len(cats) == 2 * 86 + 2 * 8
+    assert nc_failures_match_reference(cats) > 0
+
+
+@pytest.mark.slow
+def test_nc_report_matches_reference_order_5():
+    tables = [t for t in concordant_classes(5) if len(t) == 5]
+    assert nc_failures_match_reference(c for t in tables for c in both_sides(t)) > 0
 
 
 @pytest.mark.parametrize("name", SMALL_PRESETS)

@@ -168,6 +168,22 @@ def test_bad_preset_is_a_parse_error(command, spec, capsys):
     assert err.startswith("parse error: ") and spec in err
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["roundtrip"], ["export", "--what", "eggbox"]])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-json", "not-utf8"])
+def test_unreadable_input_is_a_parse_error(command, kind, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-json":
+        path.write_text("{not json", encoding="utf-8")
+    elif kind == "not-utf8":
+        path.write_bytes(b'{"table": "\xff"}')
+    code, out, err = run(command + ["--input", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"parse error: --input {path}: ")
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search", "--help"])

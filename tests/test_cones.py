@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import pytest
 
@@ -301,9 +302,37 @@ def test_joint_principal_pair_injective_when_weakly_reductive(name):
 
 
 def test_search_budget_exceeded():
+    # a BudgetExceeded is not memoised: a later call enumerates the cones
     s, c = setup("full-transformation:2")
     with pytest.raises(BudgetExceeded):
         enumerate_idempotent_cones(c, budget=1)
+    cones = enumerate_idempotent_cones(c)
+    assert cones and cones == tuple(sorted(cones, key=lambda k: (k.vertex, k.components)))
+    assert enumerate_idempotent_cones(c, budget=1) is cones
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS)
+def test_idempotent_cones_are_enumerated_once(name, monkeypatch):
+    # the epsilon-mode cone semigroup and CC6 read one enumeration of each
+    # category's idempotent cones
+    from concordia import cones as cones_mod
+    from concordia.categories import check_consistent_axioms
+    from concordia.crossconn import build_omega_s
+    calls, seen = Counter(), []
+    cones_with_vertex = cones_mod._cones_with_vertex
+
+    def counting(c, v, idempotent_only, budget=None):
+        if idempotent_only:
+            seen.append(c)  # keeps each id alive, so no id is reused
+            calls[id(c), v] += 1
+        return cones_with_vertex(c, v, idempotent_only, budget)
+
+    monkeypatch.setattr(cones_mod, "_cones_with_vertex", counting)
+    omega = build_omega_s(presets.preset(name), EPSILON_STAR_U)
+    assert check_consistent_axioms(omega.C).ok and check_consistent_axioms(omega.D).ok
+    for c in (omega.C, omega.D):
+        assert [calls[id(c), v] for v in c.objects] == [1] * c.n_objects
+    assert set(calls.values()) == {1}
 
 
 def test_table_associativity_validated():
